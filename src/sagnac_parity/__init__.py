@@ -13,7 +13,6 @@ from .detector import DetectorModel, DetectorRun, credibility, scan, simulate
 from .fit import (
     FitConvergenceError,
     FitResult,
-    FringeModel,
     error_bars,
     fit_fringe,
     load_fringe_data,
@@ -33,6 +32,7 @@ from .metrics import (
     ParityCurve,
     SensitivityCurve,
     count_fringe_peaks,
+    fringe_figures,
     fwhm,
     min_sensitivity,
     parity_curve,
@@ -42,15 +42,10 @@ from .metrics import (
     visibility,
 )
 from .model import (
+    FringeModel,
     ImperfectionProfile,
     InterferometerSpec,
-    Protocol,
     dark_port_mean,
-    parity_derivative_dark,
-    parity_derivative_efficiency,
-    parity_derivative_ideal,
-    parity_derivative_loss,
-    parity_derivative_prep,
     parity_expectation,
     parity_expectation_dark,
     parity_expectation_efficiency,
@@ -73,9 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Protocol",
     "InterferometerSpec",
     "ImperfectionProfile",
+    "FringeModel",
     "dark_port_mean",
     "parity_expectation_ideal",
     "parity_expectation_prep",
@@ -83,11 +78,6 @@ __all__ = [
     "parity_expectation_efficiency",
     "parity_expectation_dark",
     "parity_expectation",
-    "parity_derivative_ideal",
-    "parity_derivative_prep",
-    "parity_derivative_loss",
-    "parity_derivative_efficiency",
-    "parity_derivative_dark",
     "FockTruncation",
     "TruncationError",
     "JointPhotonDistribution",
@@ -104,6 +94,7 @@ __all__ = [
     "visibility",
     "fwhm",
     "super_resolution_factor",
+    "fringe_figures",
     "count_fringe_peaks",
     "QfiProtocol",
     "QfiReport",
@@ -117,7 +108,6 @@ __all__ = [
     "simulate",
     "scan",
     "credibility",
-    "FringeModel",
     "FitResult",
     "FitConvergenceError",
     "fit_fringe",

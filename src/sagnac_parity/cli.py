@@ -406,7 +406,7 @@ def _cmd_metrics(args):
     ell = _as_int(ell_opt, "ell")
     sweep = _opt(args, config, "n_sweep", None)
     if sweep is not None:
-        if len(sweep) != 3:
+        if not isinstance(sweep, (list, tuple)) or len(sweep) != 3:
             raise ValueError("--n-sweep takes START STOP POINTS")
         start, stop, count = float(sweep[0]), float(sweep[1]), _as_int(sweep[2], "sweep points")
         if count < 1:
@@ -421,24 +421,9 @@ def _cmd_metrics(args):
     rows = []
     for n in ns:
         spec = InterferometerSpec(ell=ell, mean_photons=float(n))
-        period = spec.fringe_period
-        # every fringe family peaks at phi = 0, so center the window there
-        # to keep both half-level crossings interior
-        dense = np.linspace(-period / 2.0, period / 2.0, 4097)
-        curve = metrics.parity_curve(spec, profile, dense)
-        width = metrics.fwhm(curve)
+        visibility, width, factor = metrics.fringe_figures(profile.fringe(spec))
         phi_star, best = metrics.min_sensitivity(spec, profile)
-        rows.append(
-            (
-                ell,
-                float(n),
-                width,
-                metrics.visibility(curve),
-                math.pi / width,
-                best,
-                phi_star,
-            )
-        )
+        rows.append((ell, float(n), width, visibility, factor, best, phi_star))
     columns = [
         "ell",
         "n",
@@ -595,7 +580,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.handler(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         try:
             _fail(str(exc))
         except SystemExit as wrapped:

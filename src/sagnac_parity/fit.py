@@ -1,6 +1,6 @@
 """Weighted least-squares fitting of measured parity fringes.
 
-The model is the three-parameter family
+The model is the :class:`~sagnac_parity.model.FringeModel` family
 
     m(phi) = a * exp(-b * sin^2(2 ell (phi - phi0))) + c,
 
@@ -9,9 +9,9 @@ c frozen at zero unless explicitly requested.  Amplitude and decay
 reparameterize as a = exp(-2 r) and b = 2 n_bar, so a fit recovers the mean
 photon number at the detector and the effective dark rate of the apparatus.
 
-Derived quantities (visibility, width, super-resolution factor) are always
-recomputed from the fitted model through :mod:`sagnac_parity.metrics` rather
-than entered independently.
+Derived quantities (visibility, width, super-resolution factor) and the
+fitted sensitivity are always recomputed from the fitted model through the
+same :mod:`sagnac_parity.metrics` routines that serve the closed forms.
 """
 from __future__ import annotations
 
@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import metrics
-from .metrics import STATIONARY_DERIVATIVE, ParityCurve, _golden_min
-from .model import InterferometerSpec
+from .metrics import _min_sensitivity, _sensitivity, fringe_figures
+from .model import FringeModel
 
 __all__ = [
-    "FringeModel",
     "FitResult",
     "FitConvergenceError",
     "fit_fringe",
@@ -51,48 +49,6 @@ class FitConvergenceError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class FringeModel:
-    """Parity fringe model a*exp(-b sin^2(2 ell (phi - offset))) + floor."""
-
-    amplitude: float
-    decay: float
-    offset: float
-    ell: int
-    floor: float = 0.0
-
-    def __post_init__(self):
-        if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
-            raise ValueError(f"ell must be an integer >= 1, got {self.ell!r}")
-        if not (self.amplitude > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if not (self.decay >= 0.0):
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
-        if not (self.floor >= 0.0):
-            raise ValueError(f"floor must be >= 0, got {self.floor}")
-        if self.amplitude + self.floor > 1.0 + 1e-12:
-            raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
-        if not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
-
-    @property
-    def period(self) -> float:
-        return math.pi / (2.0 * self.ell)
-
-    def __call__(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        s = np.sin(2 * self.ell * (phi - self.offset))
-        return self.amplitude * np.exp(-self.decay * s * s) + self.floor
-
-    def derivative(self, phi):
-        """Analytic dm/dphi."""
-        phi = np.asarray(phi, dtype=float)
-        delta = phi - self.offset
-        s = np.sin(2 * self.ell * delta)
-        envelope = self.amplitude * np.exp(-self.decay * s * s)
-        return -2.0 * self.ell * self.decay * np.sin(4 * self.ell * delta) * envelope
 
 
 @dataclass(frozen=True)
@@ -227,26 +183,13 @@ def _package(res, ell, fit_floor, n_points):
         p0 += period
     model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=int(ell), floor=c)
 
-    # one full period centered on the peak, so both half-level crossings
-    # are interior to the grid
-    grid = model.offset + np.linspace(-period / 2.0, period / 2.0, 4097)
-    curve = ParityCurve(
-        phi_grid=grid,
-        values=model(grid),
-        spec=InterferometerSpec(ell=int(ell), mean_photons=float(b) / 2.0),
-    )
-    try:
-        width = metrics.fwhm(curve, floor=model.floor)
-    except ValueError:
-        # a fringe with decay < ln 2 never reaches its half level, so it
-        # has no width; nan propagates into the resolution factor too
-        width = math.nan
+    visibility, width, factor = fringe_figures(model)
     derived = {
         "n_bar": float(b) / 2.0,
         "r": -math.log(float(a)) / 2.0,
-        "visibility": metrics.visibility(curve),
+        "visibility": visibility,
         "fwhm": width,
-        "super_resolution_factor": math.pi / width,
+        "super_resolution_factor": factor,
     }
 
     jtj = res.jac.T @ res.jac
@@ -276,50 +219,14 @@ def error_bars(phi, trials, model):
     return np.sqrt(np.clip(1.0 - m * m, 0.0, None) / n)
 
 
-def _fit_variance(model, phi):
-    # 1 - m^2 assembled without cancellation: 1 - m = (1 - a - c) + a(1 - core)
-    phi = np.asarray(phi, dtype=float)
-    s = np.sin(2 * model.ell * (phi - model.offset))
-    u = s * s
-    headroom = max(1.0 - model.amplitude - model.floor, 0.0)
-    one_minus = headroom + model.amplitude * (-np.expm1(-model.decay * u))
-    m = model.amplitude * np.exp(-model.decay * u) + model.floor
-    return one_minus * (1.0 + m)
-
-
 def sensitivity_from_fit(result, phi):
     """Sensitivity sqrt(1 - m^2)/|m'| of the fitted model; +inf where stationary."""
-    model = result.model if isinstance(result, FitResult) else result
-    phi = np.asarray(phi, dtype=float)
-    var = _fit_variance(model, phi)
-    d = model.derivative(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(d) <= STATIONARY_DERIVATIVE, np.inf, np.sqrt(var) / np.abs(d))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _sensitivity(result.model if isinstance(result, FitResult) else result, phi)
 
 
 def min_sensitivity_from_fit(result, grid_points=1024):
     """Minimum of sensitivity_from_fit over one period: (phi_star, value)."""
-    model = result.model if isinstance(result, FitResult) else result
-    period = model.period
-    grid = model.offset + np.linspace(0.0, period, grid_points, endpoint=False)
-    vals = sensitivity_from_fit(model, grid)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return (math.nan, math.inf)
-    i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
-    step = period / grid_points
-    phi_star, best = _golden_min(
-        lambda x: float(sensitivity_from_fit(model, float(x))),
-        grid[i] - step,
-        grid[i] + step,
-        tol=1e-12 * max(period, 1.0),
-    )
-    if vals[i] < best:
-        phi_star, best = float(grid[i]), float(vals[i])
-    return (float(phi_star), float(best))
+    return _min_sensitivity(result.model if isinstance(result, FitResult) else result, grid_points)
 
 
 # --- reading fringe data back from CLI output -----------------------------

@@ -1,15 +1,16 @@
 """Fringe metrology: sensitivity, visibility, width, super-resolution.
 
-Sensitivity follows from error propagation on the parity expectation E(phi),
+Sensitivity follows from error propagation on a parity fringe m(phi),
 
-    delta_phi = sqrt(1 - E^2) / |dE/dphi|,
+    delta_phi = sqrt(1 - m^2) / |dm/dphi|,
 
-with the variance term computed through expm1 so the phi -> 0 limit (where
-E -> 1 and both numerator and derivative vanish) stays accurate.  The
-derivative is analytic whenever at most one imperfection family is active
-and a Richardson-extrapolated central difference for genuinely composed
-profiles.  Points where the fringe is stationary are reported as +inf, a
-deliberate sentinel distinct from any overflow.
+evaluated on its :class:`~sagnac_parity.model.FringeModel`: the closed form
+of a profile here, the fitted model in :mod:`sagnac_parity.fit`.  The
+derivative is the model's analytic one, and the variance term is computed
+through expm1 so the limit at the fringe peak (where m -> 1 and both
+numerator and derivative vanish) stays accurate.  Points where the fringe
+is stationary are reported as +inf, a deliberate sentinel distinct from
+any overflow.
 """
 from __future__ import annotations
 
@@ -18,17 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    ImperfectionProfile,
-    InterferometerSpec,
-    dark_port_mean,
-    parity_derivative_dark,
-    parity_derivative_efficiency,
-    parity_derivative_ideal,
-    parity_derivative_loss,
-    parity_derivative_prep,
-    parity_expectation,
-)
+from .model import ImperfectionProfile, InterferometerSpec, parity_expectation
 
 __all__ = [
     "ParityCurve",
@@ -40,14 +31,12 @@ __all__ = [
     "visibility",
     "fwhm",
     "super_resolution_factor",
+    "fringe_figures",
     "count_fringe_peaks",
 ]
 
 # Below this derivative magnitude the working point is treated as stationary.
 STATIONARY_DERIVATIVE = 1e-15
-
-# Central-difference step for composed-profile derivatives (radians).
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,51 +91,30 @@ def parity_curve(spec, profile, phi_grid):
     )
 
 
-def _stable_variance(spec, phi, profile):
-    # 1 - E^2 as (1 - E)(1 + E); 1 - E assembled from nonnegative expm1
-    # pieces so it never cancels even when E is within 1e-16 of 1.
-    mu = dark_port_mean(spec, phi, profile.t_a, profile.t_b, profile.kappa)
-    r_eff = profile.effective_dark_rate
-    a = math.exp(-2.0 * r_eff)
-    one_minus = -math.expm1(-2.0 * r_eff) + a * profile.eta * (-np.expm1(-2.0 * mu))
-    e = a * (profile.eta * np.exp(-2.0 * mu) + (1.0 - profile.eta))
-    return one_minus * (1.0 + e), e
-
-
-def _richardson_derivative(f, x, h=FD_STEP):
-    d_h = (f(x + h) - f(x - h)) / (2.0 * h)
-    d_half = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d_half - d_h) / 3.0
-
-
-def _derivative(spec, phi, profile):
-    families = profile.active_imperfections()
-    if len(families) == 0:
-        return parity_derivative_ideal(spec, phi)
-    if families == ("prep",):
-        return parity_derivative_prep(spec, phi, profile.eta)
-    if families == ("loss",):
-        return parity_derivative_loss(spec, phi, profile.t_a, profile.t_b)
-    if families == ("efficiency",):
-        return parity_derivative_efficiency(spec, phi, profile.kappa)
-    if families == ("dark",):
-        return parity_derivative_dark(spec, phi, profile.dark_rate, profile.jitter_factor)
-    return _richardson_derivative(lambda x: parity_expectation(spec, x, profile), phi)
+def _sensitivity(model, phi):
+    # one error-propagation formula for every FringeModel, closed-form or
+    # fitted.  1 - m^2 = (1 - m)(1 + m), and 1 - m = headroom + a(1 - exp(-b u))
+    # is a sum of nonnegative terms, so it never cancels even where m is
+    # within 1e-16 of 1
+    phi = np.asarray(phi, dtype=float)
+    s = np.sin(2 * model.ell * (phi - model.offset))
+    u = s * s
+    one_minus = model.headroom + model.amplitude * (-np.expm1(-model.decay * u))
+    m = model.amplitude * np.exp(-model.decay * u) + model.floor
+    d = model.derivative(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(np.abs(d) <= STATIONARY_DERIVATIVE, np.inf, np.sqrt(one_minus * (1.0 + m)) / np.abs(d))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def sensitivity(spec, profile, phi):
     """Angular sensitivity delta_phi at a working point (scalar or array).
 
-    Stationary points of the fringe return +inf.
+    Stationary points of the fringe, phi = k * period/2, return +inf.
     """
-    phi = np.asarray(phi, dtype=float)
-    var, _ = _stable_variance(spec, phi, profile)
-    d = _derivative(spec, phi, profile)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(d) <= STATIONARY_DERIVATIVE, np.inf, np.sqrt(var) / np.abs(d))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _sensitivity(profile.fringe(spec), phi)
 
 
 def _golden_min(f, lo, hi, tol):
@@ -173,6 +141,24 @@ def _golden_min(f, lo, hi, tol):
     return best
 
 
+def _min_sensitivity(model, grid_points):
+    # grid scan over one period plus golden-section refinement
+    period = model.period
+    grid = model.offset + np.linspace(0.0, period, grid_points, endpoint=False)
+    vals = _sensitivity(model, grid)
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return (math.nan, math.inf)
+    i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
+    step = period / grid_points
+    phi_star, best = _golden_min(
+        lambda x: _sensitivity(model, float(x)), grid[i] - step, grid[i] + step, tol=1e-12 * max(period, 1.0)
+    )
+    if vals[i] < best:
+        phi_star, best = float(grid[i]), float(vals[i])
+    return (float(phi_star), float(best))
+
+
 def min_sensitivity(spec, profile, grid_points=1024):
     """Global minimum of delta_phi over one fringe period.
 
@@ -180,21 +166,7 @@ def min_sensitivity(spec, profile, grid_points=1024):
     A profile whose fringe is flat everywhere (eta -> 0 leaves no signal)
     has no working point and returns (nan, inf).
     """
-    period = spec.fringe_period
-    grid = np.linspace(0.0, period, grid_points, endpoint=False)
-    vals = sensitivity(spec, profile, grid)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return (math.nan, math.inf)
-    i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
-    step = period / grid_points
-    lo, hi = grid[i] - step, grid[i] + step
-    phi_star, best = _golden_min(
-        lambda x: sensitivity(spec, profile, float(x)), lo, hi, tol=1e-12 * max(period, 1.0)
-    )
-    if vals[i] < best:
-        phi_star, best = float(grid[i]), float(vals[i])
-    return (float(phi_star), float(best))
+    return _min_sensitivity(profile.fringe(spec), grid_points)
 
 
 def sensitivity_curve(spec, profile, phi_grid, grid_points=1024):
@@ -218,14 +190,6 @@ def visibility(curve, period=None):
     return (hi - lo) / (hi + lo)
 
 
-def _profile_floor(profile):
-    # additive offset of the composed fringe: the non-OAM fraction survives
-    # dark-count scaling but never interferes
-    if profile is None:
-        return 0.0
-    return math.exp(-2.0 * profile.effective_dark_rate) * (1.0 - profile.eta)
-
-
 def _cross(phis, vals, j, k, level):
     # linear interpolation of the level crossing between samples j and k
     v0, v1 = vals[j], vals[k]
@@ -241,11 +205,11 @@ def fwhm(curve, floor=None):
     The half level is referenced to the curve's additive floor,
     level = floor + (max - floor)/2, so constant offsets from imperfect
     preparation or dark counts do not corrupt the width.  ``floor`` defaults
-    to the offset implied by the curve's profile (zero for purely
-    multiplicative curves).  Both crossings must lie inside the grid.
+    to the floor of the curve's profile fringe (zero for a curve without a
+    profile).  Both crossings must lie inside the grid.
     """
     if floor is None:
-        floor = _profile_floor(curve.profile)
+        floor = 0.0 if curve.profile is None else curve.profile.fringe(curve.spec).floor
     vals = curve.values
     phis = curve.phi_grid
     peak = float(vals.max())
@@ -276,6 +240,24 @@ def super_resolution_factor(curve, floor=None):
     half-maximum width of pi, so the ratio is the super-resolution factor.
     """
     return math.pi / fwhm(curve, floor=floor)
+
+
+def fringe_figures(model):
+    """Visibility, FWHM and super-resolution factor pi/FWHM of a FringeModel.
+
+    The model is sampled over one period centred on its peak, so both
+    half-level crossings are interior to the grid.  A fringe too shallow to
+    reach its half level (decay < ln 2) has no width; FWHM and factor are
+    then nan.
+    """
+    half = model.period / 2.0
+    grid = model.offset + np.linspace(-half, half, 4097)
+    curve = ParityCurve(phi_grid=grid, values=model(grid))
+    try:
+        width = fwhm(curve, floor=model.floor)
+    except ValueError:
+        width = math.nan
+    return visibility(curve, period=model.period), width, math.pi / width
 
 
 def count_fringe_peaks(values):

@@ -7,23 +7,27 @@ directions.  The dark output port then carries a coherent state of mean
 photon number N*sin^2(2*ell*phi), and photon-number parity read out on that
 port oscillates with period pi/(2*ell): a 4*ell-fold super-resolved fringe.
 
-Each ``parity_expectation_*`` function below is the exact parity expectation
-under a single hardware imperfection; :func:`parity_expectation` composes all
-of them.  Every function accepts a scalar or ndarray ``phi`` in radians and
-is vectorized through numpy.
+Every fringe, ideal or imperfect, closed-form or fitted, has one shape,
+
+    m(phi) = a * exp(-b sin^2(2 ell (phi - phi0))) + c,
+
+held by :class:`FringeModel`.  :meth:`ImperfectionProfile.fringe` gives its
+parameters under any mix of imperfections, :func:`parity_expectation`
+evaluates it, and each ``parity_expectation_<family>`` function is the
+single-imperfection case.  Every function accepts a scalar or ndarray
+``phi`` in radians and is vectorized through numpy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Protocol",
     "InterferometerSpec",
     "ImperfectionProfile",
+    "FringeModel",
     "dark_port_mean",
     "parity_expectation_ideal",
     "parity_expectation_prep",
@@ -31,24 +35,12 @@ __all__ = [
     "parity_expectation_efficiency",
     "parity_expectation_dark",
     "parity_expectation",
-    "parity_derivative_ideal",
-    "parity_derivative_prep",
-    "parity_derivative_loss",
-    "parity_derivative_efficiency",
-    "parity_derivative_dark",
 ]
 
-
-class Protocol(Enum):
-    """Interferometer topology.
-
-    The parity fringe formulas below describe the Sagnac loop; the topology
-    matters for the quantum Fisher information (see :mod:`sagnac_parity.qfi`),
-    where the single-pass Mach-Zehnder carries half the phase generator.
-    """
-
-    SAGNAC = "sagnac"
-    MACH_ZEHNDER = "mach-zehnder"
+# A phase 4*ell*(phi - phi0) within this many rounding units (relative to its
+# size) of a multiple of pi is an extremum: the float phi is the nearest one
+# can get to it, and the sine there is rounding noise.
+_EXTREMUM_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -61,13 +53,10 @@ class InterferometerSpec:
         OAM quantum number of the probe beam, >= 1.
     mean_photons : float
         Mean photon number N = |alpha|^2 of the input coherent state, >= 0.
-    protocol : Protocol
-        Loop topology; defaults to the Sagnac ring.
     """
 
     ell: int
     mean_photons: float
-    protocol: Protocol = Protocol.SAGNAC
 
     def __post_init__(self):
         if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)):
@@ -79,13 +68,66 @@ class InterferometerSpec:
             raise ValueError(f"mean_photons must be finite, got {n!r}")
         if n < 0:
             raise ValueError(f"mean_photons must be >= 0, got {n}")
-        if not isinstance(self.protocol, Protocol):
-            raise TypeError(f"protocol must be a Protocol, got {self.protocol!r}")
 
     @property
     def fringe_period(self) -> float:
         """Period of the parity fringe in phi: pi/(2*ell)."""
         return math.pi / (2.0 * self.ell)
+
+
+@dataclass(frozen=True)
+class FringeModel:
+    """Parity fringe model a*exp(-b sin^2(2 ell (phi - offset))) + floor.
+
+    ``headroom`` is 1 - amplitude - floor, the parity deficit at the peak.
+    It is derived, not set: a fringe built by :meth:`ImperfectionProfile.fringe`
+    carries it assembled from expm1 terms, exact even where amplitude + floor
+    rounds to 1.
+    """
+
+    amplitude: float
+    decay: float
+    offset: float
+    ell: int
+    floor: float = 0.0
+    headroom: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
+            raise ValueError(f"ell must be an integer >= 1, got {self.ell!r}")
+        # zero is allowed: a profile's amplitude underflows to it under
+        # heavy dark counts (r_eff > 372) or strongly unbalanced loss
+        if not (self.amplitude >= 0.0):
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not (self.decay >= 0.0):
+            raise ValueError(f"decay must be >= 0, got {self.decay}")
+        if not (self.floor >= 0.0):
+            raise ValueError(f"floor must be >= 0, got {self.floor}")
+        if self.amplitude + self.floor > 1.0 + 1e-12:
+            raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
+        if not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
+        object.__setattr__(self, "headroom", max(1.0 - self.amplitude - self.floor, 0.0))
+
+    @property
+    def period(self) -> float:
+        return math.pi / (2.0 * self.ell)
+
+    def __call__(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        s = np.sin(2 * self.ell * (phi - self.offset))
+        return self.amplitude * np.exp(-self.decay * s * s) + self.floor
+
+    def derivative(self, phi):
+        """Analytic dm/dphi; exactly 0 within rounding of an extremum phi0 + k*period/2."""
+        phi = np.asarray(phi, dtype=float)
+        delta = phi - self.offset
+        s = np.sin(2 * self.ell * delta)
+        envelope = self.amplitude * np.exp(-self.decay * s * s)
+        phase = 4 * self.ell * delta
+        slope = np.sin(phase)
+        slope = np.where(np.abs(slope) <= _EXTREMUM_ROUNDING * np.abs(phase), 0.0, slope)
+        return -2.0 * self.ell * self.decay * slope * envelope
 
 
 @dataclass(frozen=True)
@@ -145,6 +187,37 @@ class ImperfectionProfile:
             active.append("dark")
         return tuple(active)
 
+    def fringe(self, spec) -> FringeModel:
+        """Parity fringe of `spec` with all of these imperfections applied.
+
+        Loss and detection efficiency set the dark-port mean
+        mu = kappa*N*(t_a + t_b - 2 sqrt(t_a t_b) cos(4 ell phi))/4, which
+        cos 4x = 1 - 2 sin^2 2x splits into a constant and a sin^2 term; the
+        preparation mixture adds a vacuum (always even) fraction 1 - eta,
+        and dark counts multiply the result by exp(-2 r_eff):
+
+            exp(-2 r_eff) * [eta * exp(-2 mu(phi)) + (1 - eta)]
+              = a * exp(-b sin^2(2 ell phi)) + c,
+            a = exp(-2 r_eff) * eta * exp(-kappa N (sqrt t_a - sqrt t_b)^2 / 2)
+            b = 2 kappa N sqrt(t_a t_b)
+            c = exp(-2 r_eff) * (1 - eta)
+
+        For the ideal profile a = 1, b = 2N, c = 0, and the model evaluates
+        bit-exactly as exp(-2 N sin^2(2 ell phi)).
+        """
+        r_eff = self.effective_dark_rate
+        dark = math.exp(-2.0 * r_eff)
+        gap = 0.5 * self.kappa * spec.mean_photons * (math.sqrt(self.t_a) - math.sqrt(self.t_b)) ** 2
+        model = FringeModel(
+            amplitude=dark * self.eta * math.exp(-gap),
+            decay=2.0 * (self.kappa * math.sqrt(self.t_a * self.t_b) * spec.mean_photons),
+            offset=0.0,
+            ell=spec.ell,
+            floor=dark * (1.0 - self.eta),
+        )
+        object.__setattr__(model, "headroom", -math.expm1(-2.0 * r_eff) + dark * self.eta * -math.expm1(-gap))
+        return model
+
 
 def dark_port_mean(spec, phi, t_a=1.0, t_b=1.0, kappa=1.0):
     """Mean photon number reaching the parity detector on the dark port.
@@ -163,9 +236,17 @@ def dark_port_mean(spec, phi, t_a=1.0, t_b=1.0, kappa=1.0):
     return kappa * n * (t_a + t_b - 2.0 * math.sqrt(t_a * t_b) * c) / 4.0
 
 
+def parity_expectation(spec, phi, profile):
+    """Parity fringe with all imperfections of `profile` applied at once.
+
+    Evaluates ``profile.fringe(spec)``; see :meth:`ImperfectionProfile.fringe`.
+    """
+    return profile.fringe(spec)(phi)
+
+
 def parity_expectation_ideal(spec, phi):
     """Ideal parity fringe exp(-2 N sin^2(2 ell phi))."""
-    return np.exp(-2.0 * dark_port_mean(spec, phi))
+    return parity_expectation(spec, phi, ImperfectionProfile())
 
 
 def parity_expectation_prep(spec, phi, eta):
@@ -175,24 +256,21 @@ def parity_expectation_prep(spec, phi, eta):
     bright port entirely, leaving the dark port in vacuum (always even):
     eta * exp(-2 N sin^2(2 ell phi)) + (1 - eta).
     """
-    return eta * parity_expectation_ideal(spec, phi) + (1.0 - eta)
+    return parity_expectation(spec, phi, ImperfectionProfile(eta=eta))
 
 
 def parity_expectation_loss(spec, phi, t_a, t_b):
-    """Parity fringe with unequal path transmissions t_a, t_b.
+    """Parity fringe with path transmissions t_a, t_b.
 
     exp(N sqrt(t_a t_b) cos(4 ell phi) - (N/2)(t_a + t_b)); reduces to the
     ideal fringe at t_a = t_b = 1.
     """
-    phi = np.asarray(phi, dtype=float)
-    n = spec.mean_photons
-    c = np.cos(4 * spec.ell * phi)
-    return np.exp(n * math.sqrt(t_a * t_b) * c - 0.5 * n * (t_a + t_b))
+    return parity_expectation(spec, phi, ImperfectionProfile(t_a=t_a, t_b=t_b))
 
 
 def parity_expectation_efficiency(spec, phi, kappa):
     """Parity fringe with detector efficiency kappa: ideal fringe at N -> kappa N."""
-    return np.exp(-2.0 * dark_port_mean(spec, phi, kappa=kappa))
+    return parity_expectation(spec, phi, ImperfectionProfile(kappa=kappa))
 
 
 def parity_expectation_dark(spec, phi, dark_rate, jitter_factor=1.0):
@@ -202,62 +280,4 @@ def parity_expectation_dark(spec, phi, dark_rate, jitter_factor=1.0):
     multiplies the expectation by exp(-2 r_eff) with
     r_eff = jitter_factor * dark_rate.
     """
-    r_eff = jitter_factor * dark_rate
-    return math.exp(-2.0 * r_eff) * parity_expectation_ideal(spec, phi)
-
-
-def parity_expectation(spec, phi, profile):
-    """Parity fringe with all imperfections of `profile` applied at once.
-
-    Loss and detection efficiency act on the dark-port mean (N -> kappa N
-    with the (t_a, t_b) interference form), the preparation mixture wraps
-    that core, and dark counts multiply the result:
-
-        exp(-2 r_eff) * [eta * exp(-2 mu(phi)) + (1 - eta)]
-
-    Reduces exactly to each single-imperfection formula when only that
-    imperfection is active, and bit-exactly to the ideal fringe for the
-    ideal profile.
-    """
-    mu = dark_port_mean(spec, phi, profile.t_a, profile.t_b, profile.kappa)
-    core = np.exp(-2.0 * mu)
-    mixed = profile.eta * core + (1.0 - profile.eta)
-    return math.exp(-2.0 * profile.effective_dark_rate) * mixed
-
-
-# --- analytic phi-derivatives, one per imperfection family ---------------
-#
-# These are the closed-form d<Pi>/dphi used for sensitivity via error
-# propagation.  They are deliberately written out per family (rather than
-# derived from the composed expectation) so finite differences can
-# cross-check them independently.
-
-
-def parity_derivative_ideal(spec, phi):
-    """d/dphi of the ideal fringe: -4 ell N sin(4 ell phi) exp(-2 N sin^2)."""
-    phi = np.asarray(phi, dtype=float)
-    el, n = spec.ell, spec.mean_photons
-    return -4.0 * el * n * np.sin(4 * el * phi) * parity_expectation_ideal(spec, phi)
-
-
-def parity_derivative_prep(spec, phi, eta):
-    return eta * parity_derivative_ideal(spec, phi)
-
-
-def parity_derivative_loss(spec, phi, t_a, t_b):
-    phi = np.asarray(phi, dtype=float)
-    el, n = spec.ell, spec.mean_photons
-    amp = 4.0 * el * n * math.sqrt(t_a * t_b)
-    return -amp * np.sin(4 * el * phi) * parity_expectation_loss(spec, phi, t_a, t_b)
-
-
-def parity_derivative_efficiency(spec, phi, kappa):
-    phi = np.asarray(phi, dtype=float)
-    el, n = spec.ell, spec.mean_photons
-    e = parity_expectation_efficiency(spec, phi, kappa)
-    return -4.0 * el * kappa * n * np.sin(4 * el * phi) * e
-
-
-def parity_derivative_dark(spec, phi, dark_rate, jitter_factor=1.0):
-    r_eff = jitter_factor * dark_rate
-    return math.exp(-2.0 * r_eff) * parity_derivative_ideal(spec, phi)
+    return parity_expectation(spec, phi, ImperfectionProfile(dark_rate=dark_rate, jitter_factor=jitter_factor))

@@ -23,11 +23,7 @@ from sagnac_parity import (
     fit_fringe,
     joint_distribution,
     min_sensitivity,
-    parity_derivative_dark,
-    parity_derivative_efficiency,
-    parity_derivative_ideal,
-    parity_derivative_loss,
-    parity_derivative_prep,
+    parity_expectation,
     parity_expectation_dark,
     parity_expectation_efficiency,
     parity_expectation_ideal,
@@ -53,6 +49,8 @@ def _report(name, ok, detail):
 def test_criterion_01_closed_forms_match_fock_sums():
     start = time.perf_counter()
     eta, kappa, t_a, t_b = 0.5, 0.7, 0.9, 0.6
+    composed = ImperfectionProfile(eta=eta, t_a=t_a, t_b=t_b, kappa=kappa, dark_rate=0.02, jitter_factor=1.5)
+    dark = math.exp(-2.0 * composed.effective_dark_rate)
     worst = 0.0
     for n in PHOTON_GRID:
         trunc = FockTruncation.for_mean_photons(n)
@@ -80,6 +78,13 @@ def test_criterion_01_closed_forms_match_fock_sums():
                         parity_sum(attenuated_joint_distribution(spec, phi, t_a, t_b, trunc))
                         - parity_expectation_loss(spec, phi, t_a, t_b)
                     ),
+                )
+                # every family at once: the detector sees kappa N with
+                # transmissions t_a, t_b, mixed with vacuum, then dark-damped
+                lossy = parity_sum(attenuated_joint_distribution(scaled, phi, t_a, t_b, trunc))
+                worst = max(
+                    worst,
+                    abs(dark * (eta * lossy + 1 - eta) - parity_expectation(spec, phi, composed)),
                 )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -238,7 +243,7 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
                 f"ideal ell={ell} N={n:g}",
                 spec,
                 lambda p, s=spec: parity_expectation_ideal(s, p),
-                lambda p, s=spec: parity_derivative_ideal(s, p),
+                ImperfectionProfile.ideal(),
             )
         )
     spec = InterferometerSpec(ell=1, mean_photons=2.0)
@@ -247,7 +252,7 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
             "prep eta=0.8",
             spec,
             lambda p, s=spec: parity_expectation_prep(s, p, 0.8),
-            lambda p, s=spec: parity_derivative_prep(s, p, 0.8),
+            ImperfectionProfile(eta=0.8),
         )
     )
     spec = InterferometerSpec(ell=2, mean_photons=5.0)
@@ -256,7 +261,7 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
             "loss 0.9/0.7",
             spec,
             lambda p, s=spec: parity_expectation_loss(s, p, 0.9, 0.7),
-            lambda p, s=spec: parity_derivative_loss(s, p, 0.9, 0.7),
+            ImperfectionProfile(t_a=0.9, t_b=0.7),
         )
     )
     spec = InterferometerSpec(ell=3, mean_photons=10.0)
@@ -265,7 +270,7 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
             "efficiency kappa=0.7",
             spec,
             lambda p, s=spec: parity_expectation_efficiency(s, p, 0.7),
-            lambda p, s=spec: parity_derivative_efficiency(s, p, 0.7),
+            ImperfectionProfile(kappa=0.7),
         )
     )
     cases.append(
@@ -273,18 +278,18 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
             "dark r_eff=0.1",
             spec,
             lambda p, s=spec: parity_expectation_dark(s, p, 0.1),
-            lambda p, s=spec: parity_derivative_dark(s, p, 0.1),
+            ImperfectionProfile(dark_rate=0.1),
         )
     )
 
     worst = 0.0
     worst_name = ""
-    for name, spec, f, df in cases:
+    for name, spec, f, profile in cases:
         grid = np.linspace(0.0, spec.fringe_period, 257)
         mask = np.abs(np.sin(4 * spec.ell * grid)) > 1e-3
         phi = grid[mask]
         numeric = (f(phi + h) - f(phi - h)) / (2.0 * h)
-        analytic = df(phi)
+        analytic = profile.fringe(spec).derivative(phi)
         rel = float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
         if rel > worst:
             worst, worst_name = rel, name

@@ -76,18 +76,47 @@ def test_metrics_sweep_rows_sharpen_with_photon_number(capsys):
 
 
 def test_sensitivity_table_marks_stationary_points(capsys):
-    args = ["metrics", "--table", "sensitivity", "--ell", "1", "--n", "2", "--points", "5"]
-    rc, out, err = _run(args, capsys)
-    assert rc == 0
-    header, rows = _table(out)
-    assert header == ["phi_rad", "sensitivity_rad"]
-    assert rows[0][1] == "inf"  # fringe peak at phi = 0
-    assert float(rows[1][1]) > 0.0
+    # nine points over [0, 2 period] put every even row on an extremum,
+    # k * period/2, including phi = period and phi = 2 period
+    args = [
+        "metrics", "--table", "sensitivity", "--ell", "1", "--n", "2",
+        "--points", "9", "--phi-max", repr(math.pi),
+    ]
+    all_families = [
+        "--eta", "0.8", "--t-a", "0.9", "--t-b", "0.6", "--kappa", "0.7",
+        "--dark-rate", "0.05", "--jitter-factor", "2",
+    ]
+    for profile in ([], all_families):
+        rc, out, err = _run(args + profile, capsys)
+        assert rc == 0
+        header, rows = _table(out)
+        assert header == ["phi_rad", "sensitivity_rad"]
+        assert float(rows[4][0]) == math.pi / 2 and float(rows[8][0]) == math.pi
+        assert [r[1] for r in rows[::2]] == ["inf"] * 5
+        assert all(float(r[1]) > 0.0 for r in rows[1::2])
 
-    rc, out, err = _run(args + ["--format", "json"], capsys)
+        rc, out, err = _run(args + profile + ["--format", "json"], capsys)
+        doc = json.loads(out)
+        assert [r[1] for r in doc["rows"][::2]] == [None] * 5
+        assert all(r[1] is not None for r in doc["rows"][1::2])
+
+
+def test_shallow_fringe_summary_reports_nan_width(capsys):
+    # decay 2N = 0.4 < ln 2: the fringe never falls to its half level
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "0.2"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert row["fwhm_rad"] == "nan"
+    assert row["super_resolution_factor"] == "nan"
+    assert 0.0 < float(row["visibility"]) < 1.0
+    assert math.isfinite(float(row["min_sensitivity_rad"]))
+
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "0.2", "--format", "json"], capsys)
+    assert rc == 0
     doc = json.loads(out)
-    assert doc["rows"][0][1] is None
-    assert doc["rows"][1][1] is not None
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["fwhm_rad"] is None and row["super_resolution_factor"] is None
 
 
 def test_qfi_row(capsys):
@@ -153,6 +182,15 @@ def test_missing_config_file_is_a_json_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "error" in json.loads(err)
+
+    # config values of the wrong JSON type are input errors too
+    for command, doc in (("curve", {"ell": [1], "n": 2}), ("metrics", {"ell": 1, "n_sweep": 5})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = _run([command, "--config", str(cfg)], capsys)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "error" in json.loads(err)
 
 
 def test_output_flag_writes_the_table_to_a_file(tmp_path, capsys):

@@ -139,6 +139,9 @@ def test_fitted_sensitivity_matches_closed_form_for_ideal_shape():
 
 def test_fitted_sensitivity_diverges_at_the_fringe_peak():
     assert sensitivity_from_fit(REFERENCE, REFERENCE.offset) == math.inf
+    # every later peak too, though offset + k * period only rounds to one
+    for k in (-1, 1, 2):
+        assert sensitivity_from_fit(REFERENCE, REFERENCE.offset + k * REFERENCE.period) == math.inf
     vals = sensitivity_from_fit(REFERENCE, np.array([REFERENCE.offset, 0.3]))
     assert math.isinf(vals[0]) and math.isfinite(vals[1])
 

@@ -21,6 +21,7 @@ from sagnac_parity import (
 )
 
 IDEAL = ImperfectionProfile.ideal()
+ALL_FAMILIES = ImperfectionProfile(eta=0.8, t_a=0.9, t_b=0.6, kappa=0.7, dark_rate=0.05, jitter_factor=2.0)
 
 
 def _dense_curve(spec, profile, points=4097):
@@ -41,12 +42,31 @@ def test_sensitivity_frozen_values():
 
 
 def test_sensitivity_is_inf_at_stationary_points():
-    spec = InterferometerSpec(ell=1, mean_photons=5.0)
-    assert sensitivity(spec, IDEAL, 0.0) == math.inf
-    values = sensitivity(spec, IDEAL, np.array([0.0, 0.2, math.pi / 4]))
-    assert values[0] == math.inf
-    assert values[2] == math.inf
-    assert math.isfinite(values[1])
+    for ell in (1, 3):
+        spec = InterferometerSpec(ell=ell, mean_photons=5.0)
+        period = spec.fringe_period
+        for profile in (IDEAL, ALL_FAMILIES):
+            for phi in (0.0, period / 2, period, 2 * period):
+                assert sensitivity(spec, profile, phi) == math.inf, (ell, profile, phi)
+            phi = np.array([0.0, 0.4 * period, period / 2, period, 1.7 * period, 2 * period])
+            values = sensitivity(spec, profile, phi)
+            assert np.all(values[[0, 2, 3, 5]] == math.inf)
+            assert np.all(np.isfinite(values[[1, 4]]))
+
+
+@pytest.mark.parametrize("dark_rate", [1e-12, 1e-9])
+@pytest.mark.parametrize("phi", [1e-7, 1e-6, 1e-5, 1e-3, 0.1, 0.3])
+def test_sensitivity_near_the_peak_keeps_full_precision(dark_rate, phi):
+    # 1 - E = 1 - exp(-x) must not be taken as 1 - (amplitude + floor) - ...:
+    # at r = 1e-12 that subtraction alone costs five digits
+    ell, n = 1, 2.297
+    spec = InterferometerSpec(ell=ell, mean_photons=n)
+    x = 2.0 * dark_rate + 2.0 * n * math.sin(2 * ell * phi) ** 2
+    expected = math.sqrt(-math.expm1(-x) * (1.0 + math.exp(-x))) / (
+        4.0 * ell * n * abs(math.sin(4 * ell * phi)) * math.exp(-x)
+    )
+    got = sensitivity(spec, ImperfectionProfile(dark_rate=dark_rate), phi)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_sensitivity_approaches_shot_noise_limited_floor():
