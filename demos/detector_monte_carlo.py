@@ -2,11 +2,13 @@
 Click-detector Monte Carlo vs closed forms
 ==========================================
 
-The detector model counts photons with an array of M on/off units: photons
-land on random units (two on the same unit merge into one click), each unit
-can also dark-trigger, and the parity of the total click count estimates
-the fringe.  Seeded runs are bit-reproducible; here they are checked
-against the analytic expectations they should follow.
+The detector model counts photons with an array of M on/off units.  Coherent
+light spread over the units makes each one fire independently, from a
+photon (two on the same unit merge into one click) or from a dark trigger,
+with p = 1 - (1 - r_eff/M) exp(-kappa mu/M); the click count is drawn as
+Binomial(M, p), and its parity estimates the fringe.  Seeded runs are
+bit-reproducible; here they are checked against the analytic expectations
+they should follow.
 """
 import math
 

@@ -111,7 +111,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     phis = np.array([r[0] for r in rows])
     means = np.array([r[1] for r in rows])
     stderrs = np.array([r[2] for r in rows])
-    sigmas = np.maximum(stderrs, 1e-9)
+    # a point whose outcomes all had one parity has sample stderr 0; weight
+    # it by the binomial sigma of the Laplace estimate P = (n+1)/(n+2)
+    n = config.trials_per_point
+    sigmas = np.where(stderrs > 0.0, stderrs, 2.0 * math.sqrt(n + 1) / ((n + 2) * math.sqrt(n)))
 
     result = fit_fringe(np.column_stack([phis, means, sigmas]), ell=config.ell)
     fit_values = result.model(phis)

@@ -1,11 +1,12 @@
 """Monte Carlo model of a multiplexed click-detector (Gm-APD array) parity readout.
 
-Photon counting happens on an array of M on/off units: the dark-port photon
-number k is Poisson, each photon survives the detector efficiency kappa with
-an independent coin flip, survivors land on uniformly random units, and each
-unit additionally dark-triggers with probability r_eff/M.  The recorded
-count is the number of triggered units, so two photons on one unit saturate
-to a single click: finite M can only undercount the light.
+The dark-port photon number is Poisson (coherent light), so spreading it
+uniformly over M on/off units and thinning it by the efficiency kappa splits
+it into M independent Poisson streams of mean kappa*mu/M.  Each unit thus
+fires independently, from light or from its dark trigger (r_eff/M), with
+p = 1 - (1 - r_eff/M) exp(-kappa mu/M); the click count is exactly
+Binomial(M, p) at any M, with parity (1 - 2p)^M.  Saturation (two photons,
+one click) is built in: finite M can only undercount the light.
 
 Runs are reproducible: each simulation consumes a single PCG64 stream keyed
 by the model seed, and a scan derives an independent per-point seed from
@@ -78,19 +79,6 @@ class DetectorRun:
     empirical_dist: np.ndarray
 
 
-def _occupied_units(rng, survivors, units):
-    # number of distinct units hit, per trial, from a flat draw of unit
-    # indices; dedup via unique on the (trial, unit) key
-    total = int(survivors.sum())
-    trials = survivors.shape[0]
-    if total == 0:
-        return np.zeros(trials, dtype=np.int64)
-    unit_ix = rng.integers(0, units, size=total, dtype=np.int64)
-    trial_ix = np.repeat(np.arange(trials, dtype=np.int64), survivors)
-    keys = np.unique(trial_ix * units + unit_ix)
-    return np.bincount(keys // units, minlength=trials)
-
-
 def simulate(spec, phi, model, trials):
     """Simulate `trials` parity readouts at rotation angle `phi`.
 
@@ -100,12 +88,11 @@ def simulate(spec, phi, model, trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     mu = float(dark_port_mean(spec, phi))
     q = model.effective_dark_rate / model.units
+    x = model.kappa * mu / model.units
+    # p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
+    p = -math.expm1(-x) + q * math.exp(-x)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(model.seed))))
-    k = rng.poisson(mu, trials)
-    survivors = rng.binomial(k, model.kappa)
-    occupied = _occupied_units(rng, survivors, model.units)
-    dark = rng.binomial(model.units - occupied, q)
-    counts = occupied + dark
+    counts = rng.binomial(model.units, p, trials)
     parity = 1.0 - 2.0 * (counts & 1)
     mean = float(parity.mean())
     if trials > 1:

@@ -55,8 +55,11 @@ class ParityCurve:
             raise ValueError("phi_grid and values must be matching 1-D arrays")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi_grid must be strictly increasing")
-        if np.any(val <= 0.0) or np.any(val > 1.0 + 1e-12):
-            raise ValueError("parity expectations must lie in (0, 1]")
+        # exact zeros are kept: a deep fringe underflows at its trough
+        if np.any(val < 0.0) or np.any(val > 1.0 + 1e-12):
+            raise ValueError("parity expectations must lie in [0, 1]")
+        if not np.any(val > 0.0):
+            raise ValueError("parity curve is zero everywhere; there is no fringe")
         object.__setattr__(self, "phi_grid", phi)
         object.__setattr__(self, "values", val)
 
@@ -102,7 +105,9 @@ def _sensitivity(model, phi):
     one_minus = model.headroom + model.amplitude * (-np.expm1(-model.decay * u))
     m = model.amplitude * np.exp(-model.decay * u) + model.floor
     d = model.derivative(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a derivative that underflows towards 0 overflows the quotient to inf,
+    # which is the right sensitivity there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(np.abs(d) <= STATIONARY_DERIVATIVE, np.inf, np.sqrt(one_minus * (1.0 + m)) / np.abs(d))
     if out.ndim == 0:
         return float(out)

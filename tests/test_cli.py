@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sagnac_parity
 from sagnac_parity import InterferometerSpec, load_fringe_data, parity_expectation_ideal
 from sagnac_parity.cli import main
 
@@ -117,6 +122,23 @@ def test_shallow_fringe_summary_reports_nan_width(capsys):
     doc = json.loads(out)
     row = dict(zip(doc["columns"], doc["rows"][0]))
     assert row["fwhm_rad"] is None and row["super_resolution_factor"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_fringe_that_underflows_at_its_trough_has_a_summary(capsys):
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "400"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["visibility"]) == 1.0
+    assert math.isfinite(float(row["fwhm_rad"]))
+
+
+def test_fringe_that_is_zero_everywhere_is_a_json_error(capsys):
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "2", "--dark-rate", "400"], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "zero everywhere" in json.loads(err)["error"]
 
 
 def test_qfi_row(capsys):
@@ -251,6 +273,18 @@ def test_experiment_pipeline_writes_reproducible_artifacts(tmp_path, capsys):
     assert saved["derived"]["n_bar"] == pytest.approx(doc["parameters"]["decay"] / 2.0)
 
 
+def test_points_with_one_parity_do_not_pin_the_fit(tmp_path, capsys):
+    # without dark counts, few trials leave points near the peak all even;
+    # their sample stderr is 0 and must not become an overwhelming weight
+    rc = main(["experiment", "--dark-rate", "0", "--trials", "200", "--output-dir", str(tmp_path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    scan = load_fringe_data(tmp_path / "experiment_scan.csv")
+    assert np.any(scan[:, 2] == 0.0)
+    n_bar_stderr = doc["param_stderr"]["decay"] / 2.0
+    assert abs(doc["derived"]["n_bar"] - 2.297) <= 5.0 * n_bar_stderr
+
+
 def test_environment_variable_sets_the_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAGNAC_PARITY_SEED", "11")
     base = ["experiment", "--points", "12", "--trials", "400", "--units", "64",
@@ -272,3 +306,15 @@ def test_help_exits_cleanly(capsys):
     rc, out, err = _run(["--help"], capsys)
     assert rc == 0
     assert "curve" in out and "experiment" in out
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(sagnac_parity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sagnac_parity", "qfi", "--ell", "1", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("ell,n,trials,f_si")

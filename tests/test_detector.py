@@ -7,10 +7,26 @@ from scipy import stats
 
 from sagnac_parity import DetectorModel, InterferometerSpec, credibility, scan, simulate
 from sagnac_parity.detector import _point_seed
+from sagnac_parity.model import dark_port_mean
 
 
 def _stderr_bound(expectation, trials):
     return math.sqrt((1.0 - expectation * expectation) / trials)
+
+
+def _reference_counts(spec, phi, model, trials, rng):
+    # independent oracle for simulate's Binomial(M, p) draw: the array
+    # simulated photon by photon.  Poisson photons, kappa thinning, uniform
+    # landing on the units (np.unique counts the distinct units hit), then
+    # dark triggers on the units left empty
+    k = rng.poisson(dark_port_mean(spec, phi), trials)
+    survivors = rng.binomial(k, model.kappa)
+    unit_ix = rng.integers(0, model.units, size=int(survivors.sum()))
+    trial_ix = np.repeat(np.arange(trials), survivors)
+    keys = np.unique(trial_ix * model.units + unit_ix)
+    occupied = np.bincount(keys // model.units, minlength=trials)
+    q = model.effective_dark_rate / model.units
+    return occupied + rng.binomial(model.units - occupied, q)
 
 
 def test_dark_port_stays_silent_without_noise():
@@ -166,3 +182,18 @@ def test_counting_histogram_is_credible_against_poisson():
     theory = stats.poisson.pmf(ks, 2.297)
     overlap = credibility(run.empirical_dist, theory)
     assert 0.99 <= overlap < 1.0
+
+
+@pytest.mark.parametrize("units", [1, 4, 64, 4096])
+@pytest.mark.parametrize("sixteenths", [0, 1, 2, 4])
+def test_click_histogram_matches_the_photon_by_photon_reference(units, sixteenths):
+    spec = InterferometerSpec(ell=1, mean_photons=4.0)
+    phi = sixteenths * math.pi / 16.0
+    model = DetectorModel(units=units, kappa=0.8, dark_rate=0.05, seed=100 * units + sixteenths)
+    trials = 100_000
+    counts = simulate(spec, phi, model, trials).counts
+    reference = _reference_counts(spec, phi, model, trials, np.random.default_rng([units, sixteenths]))
+    size = int(max(counts.max(), reference.max())) + 1
+    table = np.array([np.bincount(counts, minlength=size), np.bincount(reference, minlength=size)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(table).pvalue > 1e-6

@@ -82,6 +82,16 @@ def test_shallow_fringe_fits_but_has_no_width():
     assert result.derived["visibility"] > 0.0
 
 
+def test_fringe_that_underflows_at_its_trough_fits():
+    # exp(-800 sin^2) is exactly 0.0 over most of the period
+    truth = FringeModel(amplitude=0.9, decay=800.0, offset=0.3, ell=1)
+    data = _noiseless_data(truth, 200)
+    assert np.any(data[:, 1] == 0.0)
+    result = fit_fringe(data, ell=1)
+    assert result.model.decay == pytest.approx(800.0, rel=1e-6)
+    assert result.derived["visibility"] == 1.0
+
+
 def test_shifting_the_data_shifts_only_the_offset():
     truth = FringeModel(amplitude=0.9, decay=8.0, offset=0.4, ell=1)
     phi = _period_grid(truth, 50)

@@ -250,3 +250,8 @@ def test_parity_curve_validation():
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="zero everywhere"):
+        ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))
+    # a fringe that underflows at its trough is still a curve
+    curve = ParityCurve(phi_grid=np.array([0.0, 0.5, 1.0]), values=np.array([1.0, 0.0, 1.0]))
+    assert visibility(curve, period=1.0) == 1.0
