@@ -30,14 +30,12 @@ from .fock import (
 )
 from .metrics import (
     ParityCurve,
-    SensitivityCurve,
     count_fringe_peaks,
     fringe_figures,
     fwhm,
     min_sensitivity,
     parity_curve,
     sensitivity,
-    sensitivity_curve,
     super_resolution_factor,
     visibility,
 )
@@ -86,10 +84,8 @@ __all__ = [
     "parity_sum",
     "even_odd_probabilities",
     "ParityCurve",
-    "SensitivityCurve",
     "parity_curve",
     "sensitivity",
-    "sensitivity_curve",
     "min_sensitivity",
     "visibility",
     "fwhm",

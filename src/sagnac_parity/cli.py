@@ -445,19 +445,13 @@ def _cmd_qfi(args):
     config = _load_config(args.config)
     spec = _spec_from(args, config)
     trials = _as_int(_opt(args, config, "trials", 1), "trials")
-    f_si = qfi.qfi_si(spec.ell, spec.mean_photons)
-    f_mzi = qfi.qfi_mzi(spec.ell, spec.mean_photons)
-    f_avg = qfi.qfi_mzi_phase_averaged(spec.ell, spec.mean_photons)
+    reports = [qfi.qfi_report(protocol, spec.ell, spec.mean_photons, trials) for protocol in qfi.QfiProtocol]
     row = (
         spec.ell,
         spec.mean_photons,
         trials,
-        f_si,
-        f_mzi,
-        f_avg,
-        qfi.crb_sensitivity(f_si, trials),
-        qfi.crb_sensitivity(f_mzi, trials),
-        qfi.crb_sensitivity(f_avg, trials),
+        *(r.fisher_information for r in reports),
+        *(r.bound for r in reports),
     )
     columns = [
         "ell",

@@ -8,7 +8,8 @@ as an independent cross-check of the closed forms in
 :mod:`sagnac_parity.model`: nothing here reuses those formulas.
 
 All weights are assembled in log space (scipy.special.gammaln for the
-factorials) so lattices up to a few hundred photons stay finite.
+factorials) so lattices up to a few hundred photons stay finite; Poisson
+tails come from scipy.special.pdtrc.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .model import InterferometerSpec
 
@@ -74,7 +74,7 @@ class FockTruncation:
         if mean_photons < 0:
             raise ValueError("mean_photons must be >= 0")
         ns = np.arange(0, n_cap + 1)
-        tails = stats.poisson.sf(ns, mean_photons)
+        tails = pdtrc(ns, mean_photons)
         ok = np.flatnonzero(tails <= tail_bound)
         if ok.size == 0:
             raise TruncationError(
@@ -86,7 +86,7 @@ class FockTruncation:
 
     def check_valid_for(self, mean_photons):
         """Raise if this truncation does not certify the given mean."""
-        tail = float(stats.poisson.sf(self.n_max, mean_photons))
+        tail = float(pdtrc(self.n_max, mean_photons))
         if tail > self.tail_bound:
             raise TruncationError(
                 f"truncation n_max={self.n_max} leaves tail {tail:g} > "

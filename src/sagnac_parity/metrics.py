@@ -11,22 +11,31 @@ through expm1 so the limit at the fringe peak (where m -> 1 and both
 numerator and derivative vanish) stays accurate.  Points where the fringe
 is stationary are reported as +inf, a deliberate sentinel distinct from
 any overflow.
+
+The figures of m = a y + c, y = exp(-b u), u = sin^2(2 ell (phi - phi0)),
+are closed forms: visibility (1 - e^-b)/(1 + e^-b + 2c/a), FWHM
+asin(sqrt(ln 2 / b))/ell and super-resolution factor pi/FWHM.  The sampled
+:func:`visibility` and :func:`fwhm` measure any curve and check these.
+With no headroom (a + c >= 1), 1 - m = a(1 - y) >= a b u y because
+e^{bu} - 1 >= bu, and 1 + m >= 2 - a(1 - y) >= 2y; as
+(dm/dphi)^2 = 16 ell^2 a^2 b^2 u (1 - u) y^2, delta_phi >= 1/(4 ell
+sqrt(a b / 2)) everywhere, the limit at the peak u -> 0.  For the ideal
+fringe that is the shot-noise floor 1/(4 ell sqrt(N)).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .model import ImperfectionProfile, InterferometerSpec, parity_expectation
 
 __all__ = [
     "ParityCurve",
-    "SensitivityCurve",
     "parity_curve",
     "sensitivity",
-    "sensitivity_curve",
     "min_sensitivity",
     "visibility",
     "fwhm",
@@ -60,25 +69,6 @@ class ParityCurve:
             raise ValueError("parity expectations must lie in [0, 1]")
         if not np.any(val > 0.0):
             raise ValueError("parity curve is zero everywhere; there is no fringe")
-        object.__setattr__(self, "phi_grid", phi)
-        object.__setattr__(self, "values", val)
-
-
-@dataclass(frozen=True)
-class SensitivityCurve:
-    """Sampled sensitivity delta_phi(phi) plus its refined minimum."""
-
-    phi_grid: np.ndarray
-    values: np.ndarray
-    minimum: tuple[float, float] = field(default=(math.nan, math.inf))
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi_grid, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if phi.ndim != 1 or phi.shape != val.shape:
-            raise ValueError("phi_grid and values must be matching 1-D arrays")
-        if np.any(val[np.isfinite(val)] <= 0.0):
-            raise ValueError("sensitivities must be positive")
         object.__setattr__(self, "phi_grid", phi)
         object.__setattr__(self, "values", val)
 
@@ -122,63 +112,44 @@ def sensitivity(spec, profile, phi):
     return _sensitivity(profile.fringe(spec), phi)
 
 
-def _golden_min(f, lo, hi, tol):
-    # plain golden-section shrink; endpoints are never evaluated, so an
-    # infinite sentinel at a bracket edge is harmless
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best = (x1, f1) if f1 <= f2 else (x2, f2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-            if f1 < best[1]:
-                best = (x1, f1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-            if f2 < best[1]:
-                best = (x2, f2)
-    return best
-
-
 def _min_sensitivity(model, grid_points):
-    # grid scan over one period plus golden-section refinement
+    # grid scan over one period, then the closed-form floor or a Brent refinement
     period = model.period
     grid = model.offset + np.linspace(0.0, period, grid_points, endpoint=False)
     vals = _sensitivity(model, grid)
     finite = np.isfinite(vals)
     if not finite.any():
         return (math.nan, math.inf)
+    if model.headroom == 0.0:
+        # delta_phi >= 1/(4 ell sqrt(a b / 2)) (proof in the module docstring);
+        # a float scan over a in [1e-6, 1], b in [1e-4, 1e3] and u in (0, 1)
+        # found no ratio below 1, the least at u -> 0: the infimum is the peak
+        return (float(model.offset), 1.0 / (4.0 * model.ell * math.sqrt(0.5 * model.amplitude * model.decay)))
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
+    # search in the shift t from grid[i]: Brent's tolerance has a term
+    # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star
     step = period / grid_points
-    phi_star, best = _golden_min(
-        lambda x: _sensitivity(model, float(x)), grid[i] - step, grid[i] + step, tol=1e-12 * max(period, 1.0)
+    res = minimize_scalar(
+        lambda t: _sensitivity(model, grid[i] + t),
+        bounds=(-step, step),
+        method="bounded",
+        options={"xatol": 1e-12 * max(period, 1.0)},
     )
-    if vals[i] < best:
-        phi_star, best = float(grid[i]), float(vals[i])
-    return (float(phi_star), float(best))
+    if vals[i] < res.fun:
+        return (float(grid[i]), float(vals[i]))
+    return (float(grid[i] + res.x), float(res.fun))
 
 
 def min_sensitivity(spec, profile, grid_points=1024):
-    """Global minimum of delta_phi over one fringe period.
+    """Infimum of delta_phi over one fringe period, as (phi_star, delta_phi).
 
-    Grid scan plus golden-section refinement; returns (phi_star, delta_phi).
-    A profile whose fringe is flat everywhere (eta -> 0 leaves no signal)
-    has no working point and returns (nan, inf).
+    With no headroom (ideal, preparation, efficiency, balanced loss) it is
+    the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
+    phi0, where :func:`sensitivity` is +inf.  Otherwise a grid scan and a
+    bounded Brent search find the minimum off the peak.  A fringe flat
+    everywhere (eta -> 0 leaves no signal) returns (nan, inf).
     """
     return _min_sensitivity(profile.fringe(spec), grid_points)
-
-
-def sensitivity_curve(spec, profile, phi_grid, grid_points=1024):
-    """Sample the sensitivity on a grid, bundling the refined minimum."""
-    phi = np.asarray(phi_grid, dtype=float)
-    vals = sensitivity(spec, profile, phi)
-    return SensitivityCurve(phi_grid=phi, values=vals, minimum=min_sensitivity(spec, profile, grid_points))
 
 
 def visibility(curve, period=None):
@@ -250,19 +221,19 @@ def super_resolution_factor(curve, floor=None):
 def fringe_figures(model):
     """Visibility, FWHM and super-resolution factor pi/FWHM of a FringeModel.
 
-    The model is sampled over one period centred on its peak, so both
-    half-level crossings are interior to the grid.  A fringe too shallow to
-    reach its half level (decay < ln 2) has no width; FWHM and factor are
-    then nan.
+    The closed forms of the module docstring; the visibility is divided
+    through by a so that a subnormal amplitude stays exact.  A fringe too
+    shallow to reach its half level (b < ln 2), or flat (a = 0), has nan
+    FWHM and factor.
     """
-    half = model.period / 2.0
-    grid = model.offset + np.linspace(-half, half, 4097)
-    curve = ParityCurve(phi_grid=grid, values=model(grid))
-    try:
-        width = fwhm(curve, floor=model.floor)
-    except ValueError:
-        width = math.nan
-    return visibility(curve, period=model.period), width, math.pi / width
+    a, b, c = model.amplitude, model.decay, model.floor
+    if a == 0.0:
+        if c == 0.0:
+            raise ValueError("parity curve is zero everywhere; there is no fringe")
+        return 0.0, math.nan, math.nan
+    vis = -math.expm1(-b) / (1.0 + math.exp(-b) + 2.0 * (c / a))
+    width = math.asin(math.sqrt(math.log(2.0) / b)) / model.ell if b >= math.log(2.0) else math.nan
+    return vis, width, math.pi / width
 
 
 def count_fringe_peaks(values):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
-from .fock import FockTruncation
+from .fock import FockTruncation, _log_weights
 
 __all__ = [
     "QfiProtocol",
@@ -67,7 +66,7 @@ def qfi_mzi_phase_averaged(ell, mean_photons, trunc=None):
     else:
         trunc.check_valid_for(mean_photons)
     ns = np.arange(trunc.n_max + 1)
-    p = stats.poisson.pmf(ns, mean_photons)
+    p = np.exp(_log_weights(ns, mean_photons) - mean_photons)
     return 4.0 * ell * ell * float(np.dot(p, ns))
 
 

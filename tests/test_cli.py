@@ -132,6 +132,24 @@ def test_fringe_that_underflows_at_its_trough_has_a_summary(capsys):
     row = dict(zip(header, rows[0]))
     assert float(row["visibility"]) == 1.0
     assert math.isfinite(float(row["fwhm_rad"]))
+    # 50-digit mpmath asin(sqrt(ln 2 / 800))
+    assert float(row["fwhm_rad"]) == pytest.approx(0.029439502837899407, rel=1e-15)
+
+
+def test_metrics_summary_reads_the_closed_forms(capsys):
+    # zero headroom: the infimum 1/(4 ell sqrt(N)) sits at the peak itself
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "9"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert row["min_sensitivity_phi_rad"] == "0.0"
+    assert float(row["min_sensitivity_rad"]) == 1.0 / 12.0
+    # a subnormal amplitude e^-740 times exp(-4 sin^2 2phi): visibility tanh 2
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", "2", "--dark-rate", "370"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["visibility"]) == pytest.approx(0.96402758007581688, rel=1e-15)
 
 
 def test_fringe_that_is_zero_everywhere_is_a_json_error(capsys):
@@ -308,13 +326,21 @@ def test_help_exits_cleanly(capsys):
     assert "curve" in out and "experiment" in out
 
 
-def test_module_entry_point_runs_the_cli():
+def _run_python(args):
     src = str(Path(sagnac_parity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sagnac_parity", "qfi", "--ell", "1", "--n", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = _run_python(["-m", "sagnac_parity", "qfi", "--ell", "1", "--n", "2"])
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("ell,n,trials,f_si")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # nothing here needs scipy.stats, and importing it slows every cold start
+    proc = _run_python(["-c", "import sys, sagnac_parity.cli; print('scipy.stats' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

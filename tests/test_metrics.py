@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from sagnac_parity import (
+    FringeModel,
     ImperfectionProfile,
     InterferometerSpec,
     ParityCurve,
     count_fringe_peaks,
     crb_sensitivity,
+    fringe_figures,
     fwhm,
     min_sensitivity,
     parity_curve,
     parity_expectation,
     qfi_si,
     sensitivity,
-    sensitivity_curve,
     super_resolution_factor,
     visibility,
 )
@@ -130,12 +131,89 @@ def test_composed_sensitivity_agrees_with_finite_difference():
     assert sensitivity(spec, profile, phi) == pytest.approx(expected, rel=1e-7)
 
 
-def test_sensitivity_curve_bundles_refined_minimum():
-    spec = InterferometerSpec(ell=2, mean_photons=5.0)
-    grid = np.linspace(0.01, 0.7, 64)
-    curve = sensitivity_curve(spec, IDEAL, grid)
-    np.testing.assert_allclose(curve.values, sensitivity(spec, IDEAL, grid), rtol=1e-15)
-    assert curve.minimum == min_sensitivity(spec, IDEAL)
+ZERO_HEADROOM = {
+    "ideal": IDEAL,
+    "prep": ImperfectionProfile(eta=0.6),
+    "efficiency": ImperfectionProfile(kappa=0.7),
+    "balanced loss": ImperfectionProfile(t_a=0.5, t_b=0.5),
+}
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("name", list(ZERO_HEADROOM))
+def test_zero_headroom_minimum_is_the_floor_at_the_peak(name, ell):
+    profile = ZERO_HEADROOM[name]
+    n = 2.297
+    spec = InterferometerSpec(ell=ell, mean_photons=n)
+    model = profile.fringe(spec)
+    assert model.headroom == 0.0
+    floor = 1.0 / (4.0 * ell * math.sqrt(0.5 * model.amplitude * model.decay))
+    assert min_sensitivity(spec, profile) == (0.0, floor)
+    # a b / 2 is the detected photon number eta kappa sqrt(t_a t_b) N
+    detected = profile.eta * profile.kappa * math.sqrt(profile.t_a * profile.t_b) * n
+    assert floor == pytest.approx(1.0 / (4.0 * ell * math.sqrt(detected)), rel=1e-14)
+    # the floor is an infimum: no working point beats it, near the peak or not
+    period = spec.fringe_period
+    offsets = 10.0 ** np.arange(-9.0, -2.0)
+    phi = np.concatenate([np.linspace(0.0, period, 4096, endpoint=False), offsets, -offsets, period - offsets])
+    values = sensitivity(spec, profile, phi)
+    assert np.all(values >= floor * (1.0 - 1e-12))
+
+
+# 50-digit mpmath minima of sqrt(1 - m^2)/|dm/dphi| at ell = 1, N = 2.297
+@pytest.mark.parametrize(
+    "profile, phi_ref, best_ref",
+    [
+        (ImperfectionProfile(dark_rate=0.0253), 0.097805604140181052128, 0.21466819718403002957),
+        (
+            ImperfectionProfile(eta=0.9, t_a=0.9, t_b=0.6, kappa=0.8, dark_rate=0.05, jitter_factor=1.5),
+            1.4118076839938294208,
+            0.40253443031913691362,
+        ),
+    ],
+    ids=["default experiment", "all families"],
+)
+def test_min_sensitivity_off_the_peak_matches_mpmath(profile, phi_ref, best_ref):
+    spec = InterferometerSpec(ell=1, mean_photons=2.297)
+    assert profile.fringe(spec).headroom > 0.0
+    phi_star, best = min_sensitivity(spec, profile)
+    assert best == pytest.approx(best_ref, rel=4e-16, abs=0.0)
+    assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
+
+
+FIGURE_PROFILES = {
+    "ideal": IDEAL,
+    "prep": ImperfectionProfile(eta=0.8),
+    "loss": ImperfectionProfile(t_a=0.9, t_b=0.6),
+    "dark": ImperfectionProfile(dark_rate=0.05),
+    "all families": ALL_FAMILIES,
+}
+
+
+@pytest.mark.parametrize("n", [0.5, 2.297, 10.0])
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("name", list(FIGURE_PROFILES))
+def test_fringe_figures_match_the_sampled_curve(name, ell, n):
+    profile = FIGURE_PROFILES[name]
+    spec = InterferometerSpec(ell=ell, mean_photons=n)
+    vis, width, factor = fringe_figures(profile.fringe(spec))
+    curve = _dense_curve(spec, profile, points=65537)
+    assert vis == pytest.approx(visibility(curve), rel=1e-12)
+    if profile.fringe(spec).decay < math.log(2.0):
+        # too shallow to reach the half level (all families at N = 0.5)
+        assert math.isnan(width) and math.isnan(factor)
+        with pytest.raises(ValueError, match="half level"):
+            fwhm(curve)
+    else:
+        assert width == pytest.approx(fwhm(curve), rel=1e-8)
+        assert factor == math.pi / width
+
+
+def test_fringe_figures_of_a_deep_fringe_match_mpmath():
+    # 50-digit mpmath asin(sqrt(ln 2 / 800)); a 4097-point grid misses it by 3e-5
+    _, width, factor = fringe_figures(FringeModel(amplitude=1.0, decay=800.0, offset=0.0, ell=1))
+    assert width == pytest.approx(0.029439502837899407, rel=1e-15)
+    assert factor == math.pi / width
 
 
 def test_visibility_of_ideal_fringe():
