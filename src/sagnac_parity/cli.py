@@ -13,9 +13,11 @@ failures the same way they parse results.  Floats are emitted with ``repr``
 so identical inputs produce byte-identical output; infinities become the
 string ``inf`` in CSV and ``null`` in JSON.
 
-A JSON config file (``--config``) supplies defaults for any long option;
-explicit flags win.  The environment variable ``SAGNAC_PARITY_SEED`` sets
-the default experiment seed only.
+A JSON config file (``--config``) supplies defaults for any long option of
+the subcommand, keyed by the option name with underscores (``dark_rate``);
+explicit flags win.  A key that is not an option of the subcommand, or a
+value the flag would reject, is an error.  The environment variable
+``SAGNAC_PARITY_SEED`` sets the default experiment seed only.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -103,6 +105,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         jitter_factor=config.jitter_factor,
         seed=config.seed,
     )
+    if spec.mean_photons <= 0:
+        raise ValueError(f"mean_photons must be > 0, got {spec.mean_photons!r}")
+    if not math.isfinite(config.offset):
+        raise ValueError(f"offset must be finite, got {config.offset!r}")
     period = spec.fringe_period
     start = config.offset - period / 2.0
     grid = start + np.linspace(0.0, period, config.points, endpoint=False)
@@ -146,18 +152,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     doc = {
         "schema_version": 1,
-        "config": {
-            "ell": config.ell,
-            "mean_photons": config.mean_photons,
-            "dark_rate": config.dark_rate,
-            "jitter_factor": config.jitter_factor,
-            "kappa": config.kappa,
-            "units": config.units,
-            "points": config.points,
-            "trials_per_point": config.trials_per_point,
-            "offset": config.offset,
-            "seed": config.seed,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k not in ("prefix", "output_dir")},
         "parameters": {
             "amplitude": _jsonable(result.model.amplitude),
             "decay": _jsonable(result.model.decay),
@@ -234,7 +229,49 @@ def _open_output(path):
             yield fh
 
 
-# --- argument plumbing -----------------------------------------------------
+# --- options --------------------------------------------------------------
+
+# One row per option: the flag is --name-with-dashes, the config key is the
+# name itself, and a config value is checked with the flag's type and choices.
+_OPTIONS = {
+    "config": dict(help="JSON file of option defaults, keyed by the option names with underscores"),
+    "ell": dict(type=int, help="OAM topological charge, an integer >= 1"),
+    "n": dict(type=float, help="mean photon number of the input coherent state"),
+    "eta": dict(type=float, help="OAM preparation fidelity"),
+    "t_a": dict(type=float, help="path A transmission"),
+    "t_b": dict(type=float, help="path B transmission"),
+    "kappa": dict(type=float, help="detection efficiency"),
+    "dark_rate": dict(type=float, help="dark counts per gate"),
+    "jitter_factor": dict(type=float, help="timing-jitter multiplier on the dark rate"),
+    "phi_min": dict(type=float, help="grid start (default 0)"),
+    "phi_max": dict(type=float, help="grid end (default one fringe period)"),
+    "points": dict(type=int, help="number of angle points"),
+    "degrees": dict(action="store_true", help="angles in degrees, in flags and output"),
+    "variants": dict(help=f"comma-separated fringe variants to tabulate, from {', '.join(_VARIANTS)}"),
+    "table": dict(choices=("summary", "sensitivity"), help="which table"),
+    "n_sweep": dict(type=float, nargs=3, metavar=("START", "STOP", "POINTS"),
+                    help="summary rows for a linear sweep of mean photon number"),
+    "trials": dict(type=int, help="repetitions: nu in the qfi bound, trials per experiment scan point"),
+    "units": dict(type=int, help="detector units in the counting array"),
+    "offset": dict(type=float, help="fringe center of the scan window"),
+    "seed": dict(type=int, help=f"RNG seed; ${SEED_ENV_VAR} replaces the default"),
+    "prefix": dict(help="artifact filename prefix"),
+    "output_dir": dict(help="artifact directory"),
+    "format": dict(choices=("csv", "json"), help="output format"),
+    "output": dict(help="write the table here instead of stdout"),
+}
+
+# dataclass fields whose option has another name
+_FIELD_OPTIONS = {"mean_photons": "n", "trials_per_point": "trials"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _defaults(cls):
+    return {_FIELD_OPTIONS.get(f.name, f.name): f.default for f in fields(cls)}
+
+
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, _FIELD_OPTIONS.get(f.name, f.name)) for f in fields(cls)})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,108 +297,75 @@ def _load_config(path):
     return doc
 
 
-def _opt(args, config, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _conforms(kind, choices, value):
+    if kind in (int, float):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and (kind is float or isinstance(value, int) or value.is_integer())
+    return isinstance(value, kind) and (choices is None or value in choices)
 
 
-def _as_int(value, name):
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if value != int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return int(value)
+def _config_value(name, value):
+    """Check a config value as the flag would be checked; return it converted."""
+    row = _OPTIONS[name]
+    kind = bool if "action" in row else row.get("type", str)
+    # n_sweep is a list of three numbers; variants may also be a list of names
+    count = row.get("nargs")
+    listed = isinstance(value, list) and (count is not None or name == "variants")
+    items = value if listed else [value]
+    if len(items) != (count or len(items)) or not all(_conforms(kind, row.get("choices"), v) for v in items):
+        expected = f"one of {', '.join(row['choices'])}" if "choices" in row else _KINDS[kind]
+        expected = f"a list of {count} values, each {expected}" if count else expected
+        raise ValueError(f"config {name} must be {expected}, got {value!r}")
+    items = [kind(item) for item in items]
+    return items if listed else items[0]
 
 
-def _profile_from(args, config):
-    return ImperfectionProfile(
-        eta=float(_opt(args, config, "eta", 1.0)),
-        t_a=float(_opt(args, config, "t_a", 1.0)),
-        t_b=float(_opt(args, config, "t_b", 1.0)),
-        kappa=float(_opt(args, config, "kappa", 1.0)),
-        dark_rate=float(_opt(args, config, "dark_rate", 0.0)),
-        jitter_factor=float(_opt(args, config, "jitter_factor", 1.0)),
-    )
+def _resolve(args, options):
+    """Fill each option no flag set: from --config, then (seed only) the environment, then its default."""
+    config = _load_config(args.config)
+    for key, value in config.items():
+        if key not in options:
+            raise ValueError(f"unknown config key {key!r} for {args.command}; keys are {', '.join(options)}")
+        config[key] = _config_value(key, value)
+    for name, default in options.items():
+        if getattr(args, name) is not None:
+            continue
+        value = config.get(name, default)
+        if name == "seed" and name not in config and SEED_ENV_VAR in os.environ:
+            env = os.environ[SEED_ENV_VAR]
+            try:
+                value = int(env)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        setattr(args, name, value)
 
 
-def _grid_from(args, config, spec, degrees, default_points=256):
-    period = spec.fringe_period
-    phi_min = _opt(args, config, "phi_min", None)
-    phi_max = _opt(args, config, "phi_max", None)
-    points = _as_int(_opt(args, config, "points", default_points), "points")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    lo = 0.0 if phi_min is None else float(phi_min)
-    hi = period if phi_max is None else float(phi_max)
-    if degrees:
-        if phi_min is not None:
-            lo = math.radians(lo)
-        if phi_max is not None:
-            hi = math.radians(hi)
-    if not hi > lo:
-        raise ValueError(f"empty angle range [{lo}, {hi}]")
-    return np.linspace(lo, hi, points)
-
-
-def _phi_column(grid, degrees):
-    if degrees:
-        return "phi_deg", np.degrees(grid)
-    return "phi_rad", grid
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
-    parser.add_argument("--output", help="write the table here instead of stdout")
-
-
-def _add_spec_options(parser):
-    parser.add_argument("--ell", type=int, help="OAM topological charge (integer >= 1)")
-    parser.add_argument("--n", type=float, dest="n", help="mean photon number of the input coherent state")
-
-
-def _add_profile_options(parser):
-    parser.add_argument("--eta", type=float, help="OAM preparation fidelity (default 1)")
-    parser.add_argument("--t-a", type=float, dest="t_a", help="path A transmission (default 1)")
-    parser.add_argument("--t-b", type=float, dest="t_b", help="path B transmission (default 1)")
-    parser.add_argument("--kappa", type=float, help="detection efficiency (default 1)")
-    parser.add_argument("--dark-rate", type=float, dest="dark_rate", help="dark counts per gate (default 0)")
-    parser.add_argument(
-        "--jitter-factor", type=float, dest="jitter_factor", help="timing-jitter multiplier on the dark rate (default 1)"
-    )
-
-
-def _add_grid_options(parser):
-    parser.add_argument("--phi-min", type=float, dest="phi_min", help="grid start (default 0)")
-    parser.add_argument("--phi-max", type=float, dest="phi_max", help="grid end (default one fringe period)")
-    parser.add_argument("--points", type=int, help="number of grid points (default 256)")
-    parser.add_argument("--degrees", action="store_true", help="angles in degrees, in flags and output")
-
-
-def _spec_from(args, config):
-    ell = _opt(args, config, "ell", None)
-    n = _opt(args, config, "n", None)
-    if ell is None or n is None:
+def _spec_from(args):
+    if args.ell is None or args.n is None:
         raise ValueError("--ell and --n are required (flag or config)")
-    return InterferometerSpec(ell=_as_int(ell, "ell"), mean_photons=float(n))
+    return InterferometerSpec(ell=args.ell, mean_photons=args.n)
 
 
-# --- subcommand handlers ---------------------------------------------------
+def _grid_from(args, spec):
+    if args.points < 2:
+        raise ValueError(f"points must be >= 2, got {args.points}")
+    to_radians = math.radians if args.degrees else float
+    lo = 0.0 if args.phi_min is None else to_radians(args.phi_min)
+    hi = spec.fringe_period if args.phi_max is None else to_radians(args.phi_max)
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError(f"angle range [{lo}, {hi}] must be finite and non-empty")
+    grid = np.linspace(lo, hi, args.points)
+    return (grid, "phi_deg", np.degrees(grid)) if args.degrees else (grid, "phi_rad", grid)
+
+
+# --- subcommand handlers: a table handler returns (name, columns, rows) -----
 
 
 def _cmd_curve(args):
-    config = _load_config(args.config)
-    spec = _spec_from(args, config)
-    profile = _profile_from(args, config)
-    degrees = bool(args.degrees or config.get("degrees", False))
-    grid = _grid_from(args, config, spec, degrees)
-    raw = _opt(args, config, "variants", "composed")
+    spec = _spec_from(args)
+    profile = _from_args(ImperfectionProfile, args)
+    grid, phi_name, phi_out = _grid_from(args, spec)
+    raw = args.variants
     names = [v.strip() for v in (raw.split(",") if isinstance(raw, str) else raw) if v.strip()]
     if not names:
         raise ValueError("no variants requested")
@@ -377,56 +381,38 @@ def _cmd_curve(args):
         "dark": lambda: parity_expectation_dark(spec, grid, profile.dark_rate, profile.jitter_factor),
         "composed": lambda: parity_expectation(spec, grid, profile),
     }
-    phi_name, phi_out = _phi_column(grid, degrees)
     cols = [phi_out] + [np.asarray(columns_by_name[name]()) for name in names]
-    fmt = _opt(args, config, "format", "csv")
-    with _open_output(args.output) as out:
-        _emit_table(out, fmt, "curve", [phi_name] + names, zip(*cols))
-    return 0
+    return "curve", [phi_name] + names, zip(*cols)
 
 
 def _cmd_metrics(args):
-    config = _load_config(args.config)
-    profile = _profile_from(args, config)
-    table = _opt(args, config, "table", "summary")
-    fmt = _opt(args, config, "format", "csv")
-    degrees = bool(args.degrees or config.get("degrees", False))
+    profile = _from_args(ImperfectionProfile, args)
 
-    if table == "sensitivity":
-        spec = _spec_from(args, config)
-        grid = _grid_from(args, config, spec, degrees)
-        vals = metrics.sensitivity(spec, profile, grid)
-        phi_name, phi_out = _phi_column(grid, degrees)
-        with _open_output(args.output) as out:
-            _emit_table(out, fmt, "sensitivity", [phi_name, "sensitivity_rad"], zip(phi_out, vals))
-        return 0
-    if table != "summary":
-        raise ValueError(f"unknown table {table!r}; choose summary or sensitivity")
+    if args.table == "sensitivity":
+        spec = _spec_from(args)
+        grid, phi_name, phi_out = _grid_from(args, spec)
+        return "sensitivity", [phi_name, "sensitivity_rad"], zip(phi_out, metrics.sensitivity(spec, profile, grid))
 
-    ell_opt = _opt(args, config, "ell", None)
-    if ell_opt is None:
+    if args.ell is None:
         raise ValueError("--ell is required (flag or config)")
-    ell = _as_int(ell_opt, "ell")
-    sweep = _opt(args, config, "n_sweep", None)
-    if sweep is not None:
-        if not isinstance(sweep, (list, tuple)) or len(sweep) != 3:
-            raise ValueError("--n-sweep takes START STOP POINTS")
-        start, stop, count = float(sweep[0]), float(sweep[1]), _as_int(sweep[2], "sweep points")
+    if args.n_sweep is not None:
+        start, stop, count = args.n_sweep
+        if not count.is_integer():
+            raise ValueError(f"sweep points must be an integer, got {count!r}")
         if count < 1:
             raise ValueError("sweep needs at least one point")
-        ns = np.linspace(start, stop, count)
+        ns = np.linspace(start, stop, int(count))
+    elif args.n is None:
+        raise ValueError("--n or --n-sweep is required")
     else:
-        n = _opt(args, config, "n", None)
-        if n is None:
-            raise ValueError("--n or --n-sweep is required")
-        ns = [float(n)]
+        ns = [args.n]
 
     rows = []
     for n in ns:
-        spec = InterferometerSpec(ell=ell, mean_photons=float(n))
+        spec = InterferometerSpec(ell=args.ell, mean_photons=float(n))
         visibility, width, factor = metrics.fringe_figures(profile.fringe(spec))
         phi_star, best = metrics.min_sensitivity(spec, profile)
-        rows.append((ell, float(n), width, visibility, factor, best, phi_star))
+        rows.append((args.ell, float(n), width, visibility, factor, best, phi_star))
     columns = [
         "ell",
         "n",
@@ -436,20 +422,16 @@ def _cmd_metrics(args):
         "min_sensitivity_rad",
         "min_sensitivity_phi_rad",
     ]
-    with _open_output(args.output) as out:
-        _emit_table(out, fmt, "summary", columns, rows)
-    return 0
+    return "summary", columns, rows
 
 
 def _cmd_qfi(args):
-    config = _load_config(args.config)
-    spec = _spec_from(args, config)
-    trials = _as_int(_opt(args, config, "trials", 1), "trials")
-    reports = [qfi.qfi_report(protocol, spec.ell, spec.mean_photons, trials) for protocol in qfi.QfiProtocol]
+    spec = _spec_from(args)
+    reports = [qfi.qfi_report(protocol, spec.ell, spec.mean_photons, args.trials) for protocol in qfi.QfiProtocol]
     row = (
         spec.ell,
         spec.mean_photons,
-        trials,
+        args.trials,
         *(r.fisher_information for r in reports),
         *(r.bound for r in reports),
     )
@@ -464,50 +446,29 @@ def _cmd_qfi(args):
         "bound_mzi",
         "bound_phase_avg",
     ]
-    fmt = _opt(args, config, "format", "csv")
-    with _open_output(args.output) as out:
-        _emit_table(out, fmt, "qfi", columns, [row])
-    return 0
-
-
-def _resolve_seed(args, config):
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return _as_int(config["seed"], "seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_EXPERIMENT_SEED
+    return "qfi", columns, [row]
 
 
 def _cmd_experiment(args):
-    config = _load_config(args.config)
-    defaults = ExperimentConfig()
-    cfg = ExperimentConfig(
-        ell=_as_int(_opt(args, config, "ell", defaults.ell), "ell"),
-        mean_photons=float(_opt(args, config, "n", defaults.mean_photons)),
-        dark_rate=float(_opt(args, config, "dark_rate", defaults.dark_rate)),
-        jitter_factor=float(_opt(args, config, "jitter_factor", defaults.jitter_factor)),
-        kappa=float(_opt(args, config, "kappa", defaults.kappa)),
-        units=_as_int(_opt(args, config, "units", defaults.units), "units"),
-        points=_as_int(_opt(args, config, "points", defaults.points), "points"),
-        trials_per_point=_as_int(_opt(args, config, "trials", defaults.trials_per_point), "trials"),
-        offset=float(_opt(args, config, "offset", defaults.offset)),
-        seed=_resolve_seed(args, config),
-        prefix=str(_opt(args, config, "prefix", defaults.prefix)),
-        output_dir=str(_opt(args, config, "output_dir", defaults.output_dir)),
-    )
-    doc = run_experiment(cfg)
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    print(json.dumps(run_experiment(_from_args(ExperimentConfig, args)), indent=2))
 
 
 # --- entry point -----------------------------------------------------------
+
+# subcommand: (help, handler, {option: default}); None means no default
+_FRINGE = {"ell": None, "n": None, **_defaults(ImperfectionProfile), "phi_min": None, "phi_max": None, "points": 256,
+           "degrees": None}
+_TABLE = {"format": "csv", "output": None}
+_COMMANDS = {
+    "curve": ("tabulate parity fringes", _cmd_curve, {**_FRINGE, "variants": "composed", **_TABLE}),
+    "metrics": (
+        "figures of merit or sensitivity profile",
+        _cmd_metrics,
+        {**_FRINGE, "table": "summary", "n_sweep": None, **_TABLE},
+    ),
+    "qfi": ("Fisher information and Cramer-Rao bounds", _cmd_qfi, {"ell": None, "n": None, "trials": 1, **_TABLE}),
+    "experiment": ("seeded simulate-fit-derive pipeline", _cmd_experiment, _defaults(ExperimentConfig)),
+}
 
 
 def _build_parser():
@@ -516,56 +477,13 @@ def _build_parser():
         description="Parity-readout OAM interferometry: fringes, metrics, bounds, simulated runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_curve = sub.add_parser("curve", help="tabulate parity fringes")
-    _add_spec_options(p_curve)
-    _add_profile_options(p_curve)
-    _add_grid_options(p_curve)
-    p_curve.add_argument(
-        "--variants",
-        help=f"comma-separated fringe variants to tabulate ({', '.join(_VARIANTS)}; default composed)",
-    )
-    _add_common(p_curve)
-    p_curve.set_defaults(handler=_cmd_curve)
-
-    p_metrics = sub.add_parser("metrics", help="figures of merit or sensitivity profile")
-    _add_spec_options(p_metrics)
-    _add_profile_options(p_metrics)
-    _add_grid_options(p_metrics)
-    p_metrics.add_argument("--table", choices=("summary", "sensitivity"), default=None, help="which table (default summary)")
-    p_metrics.add_argument(
-        "--n-sweep",
-        dest="n_sweep",
-        nargs=3,
-        metavar=("START", "STOP", "POINTS"),
-        type=float,
-        help="summary rows for a linear sweep of mean photon number",
-    )
-    _add_common(p_metrics)
-    p_metrics.set_defaults(handler=_cmd_metrics)
-
-    p_qfi = sub.add_parser("qfi", help="Fisher information and Cramer-Rao bounds")
-    _add_spec_options(p_qfi)
-    p_qfi.add_argument("--trials", type=int, help="number of repetitions nu in the bound (default 1)")
-    _add_common(p_qfi)
-    p_qfi.set_defaults(handler=_cmd_qfi)
-
-    p_exp = sub.add_parser("experiment", help="seeded simulate-fit-derive pipeline")
-    p_exp.add_argument("--ell", type=int, help="OAM topological charge (default 1)")
-    p_exp.add_argument("--n", type=float, dest="n", help="mean photon number (default 2.297)")
-    p_exp.add_argument("--dark-rate", type=float, dest="dark_rate", help="dark counts per gate (default 0.0253)")
-    p_exp.add_argument("--jitter-factor", type=float, dest="jitter_factor", help="jitter multiplier (default 1)")
-    p_exp.add_argument("--kappa", type=float, help="detection efficiency (default 1)")
-    p_exp.add_argument("--units", type=int, help="detector units in the counting array (default 4096)")
-    p_exp.add_argument("--points", type=int, help="scan points over one period (default 60)")
-    p_exp.add_argument("--trials", type=int, help="trials per scan point (default 100000)")
-    p_exp.add_argument("--offset", type=float, help="fringe center of the scan window (default 0.7022)")
-    p_exp.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_EXPERIMENT_SEED})")
-    p_exp.add_argument("--prefix", help="artifact filename prefix (default experiment)")
-    p_exp.add_argument("--output-dir", dest="output_dir", help="artifact directory (default .)")
-    p_exp.add_argument("--config", help="JSON file of option defaults")
-    p_exp.set_defaults(handler=_cmd_experiment)
-
+    for command, (help_text, _, options) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for name in (*options, "config"):
+            row = dict(_OPTIONS[name])
+            if options.get(name) is not None:
+                row["help"] += f" (default {options[name]})"
+            p_command.add_argument("--" + name.replace("_", "-"), default=None, **row)
     return parser
 
 
@@ -575,9 +493,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    _, handler, options = _COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except (ValueError, TypeError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        _resolve(args, options)
+        table = handler(args)
+        if table is not None:
+            with _open_output(args.output) as out:
+                _emit_table(out, args.format, *table)
+        return 0
+    except (ValueError, TypeError, RuntimeError, OSError, OverflowError, json.JSONDecodeError) as exc:
         try:
             _fail(str(exc))
         except SystemExit as wrapped:

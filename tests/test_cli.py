@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sagnac_parity
 from sagnac_parity import InterferometerSpec, load_fringe_data, parity_expectation_ideal
@@ -223,9 +226,25 @@ def test_missing_config_file_is_a_json_error(tmp_path, capsys):
     assert rc == 2
     assert "error" in json.loads(err)
 
-    # config values of the wrong JSON type are input errors too
-    for command, doc in (("curve", {"ell": [1], "n": 2}), ("metrics", {"ell": 1, "n_sweep": 5})):
-        cfg = tmp_path / f"{command}.json"
+    # config values of the wrong JSON type, values the flag would reject, and
+    # keys that are not options of the subcommand are input errors too
+    cases = (
+        ("curve", {"ell": [1], "n": 2}),
+        ("metrics", {"ell": 1, "n_sweep": 5}),
+        ("metrics", {"ell": 1, "n_sweep": [1, 2]}),
+        ("metrics", {"ell": 1, "n_sweep": [1, 2, float("inf")]}),
+        ("curve", {"ell": 1, "n": 2, "dark-rate": 0.5}),
+        ("curve", {"ell": 1, "n": 2, "units": 64}),
+        ("qfi", {"ell": 1, "n": 2, "eta": 0.5}),
+        ("experiment", {"format": "json"}),
+        ("curve", {"ell": 1, "n": 2, "format": "xml"}),
+        ("curve", {"ell": 1, "n": 2, "degrees": "no"}),
+        ("curve", {"ell": 1, "n": 2, "output": 5}),
+        ("qfi", {"ell": 1, "n": 2, "trials": 2.5}),
+        ("curve", {"ell": 1, "n": 2, "variants": ["ideal", 3]}),
+    )
+    for i, (command, doc) in enumerate(cases):
+        cfg = tmp_path / f"{command}{i}.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         rc, out, err = _run([command, "--config", str(cfg)], capsys)
         assert rc == 2 and out == ""
@@ -242,6 +261,13 @@ def test_output_flag_writes_the_table_to_a_file(tmp_path, capsys):
     header, rows = _table(path.read_text(encoding="utf-8"))
     assert header == ["phi_rad", "composed"]
     assert len(rows) == 4
+
+    # output in a config file is an option default like any other
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": str(tmp_path / "from_config.csv")}), encoding="utf-8")
+    rc, out, err = _run(["curve", "--ell", "1", "--n", "2", "--points", "4", "--config", str(cfg)], capsys)
+    assert rc == 0 and out == ""
+    assert (tmp_path / "from_config.csv").read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
 
 
 def test_json_table_schema(capsys):
@@ -303,6 +329,22 @@ def test_points_with_one_parity_do_not_pin_the_fit(tmp_path, capsys):
     assert abs(doc["derived"]["n_bar"] - 2.297) <= 5.0 * n_bar_stderr
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--offset", "inf"]])
+def test_experiment_rejects_bad_inputs_before_it_scans(tmp_path, capsys, flags):
+    rc, out, err = _run(["experiment", "--output-dir", str(tmp_path / "run"), *flags], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_angle_range_is_a_json_error(capsys):
+    rc, out, err = _run(["curve", "--ell", "1", "--n", "2", "--points", "3", "--phi-max", "inf"], capsys)
+    assert rc == 2 and out == ""
+    assert "must be finite" in json.loads(err)["error"]
+
+
 def test_environment_variable_sets_the_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAGNAC_PARITY_SEED", "11")
     base = ["experiment", "--points", "12", "--trials", "400", "--units", "64",
@@ -344,3 +386,91 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = _run_python(["-c", "import sys, sagnac_parity.cli; print('scipy.stats' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_VARIANT_NAMES = ["ideal", "prep", "loss", "efficiency", "dark", "composed"]
+# values the flag would accept; each generated config may then get one bad value
+_CONFIG_VALUES = {
+    "ell": st.integers(1, 4),
+    "n": st.floats(0.05, 30),
+    "eta": st.floats(0.05, 1),
+    "t_a": st.floats(0.05, 1),
+    "t_b": st.floats(0.05, 1),
+    "kappa": st.floats(0.05, 1),
+    "dark_rate": st.floats(0, 2),
+    "jitter_factor": st.floats(1, 3),
+    "phi_min": st.floats(-1, 0),
+    "phi_max": st.floats(0.1, 2),
+    "points": st.integers(2, 300),
+    "degrees": st.booleans(),
+    "variants": st.one_of(
+        st.lists(st.sampled_from(_VARIANT_NAMES), min_size=1, max_size=3).map(",".join),
+        st.lists(st.sampled_from(_VARIANT_NAMES), min_size=1, max_size=3),
+    ),
+    "table": st.sampled_from(["summary", "sensitivity"]),
+    "n_sweep": st.tuples(st.floats(0.05, 20), st.floats(0.05, 20), st.integers(1, 8)).map(list),
+    "trials": st.integers(1, 200),
+    "units": st.integers(1, 64),
+    "offset": st.floats(-2, 2),
+    "seed": st.integers(0, 2**64 - 1),
+    "prefix": st.just("fuzz"),
+    "output_dir": st.just("out"),
+    "format": st.sampled_from(["csv", "json"]),
+    "output": st.just("table.txt"),
+}
+_SIZES = ("points", "trials", "units", "n_sweep")
+_FRINGE_KEYS = ("eta", "t_a", "t_b", "kappa", "dark_rate", "jitter_factor", "phi_min", "phi_max", "points", "degrees")
+# per subcommand: keys every generated config has, and keys it may have
+_CONFIG_KEYS = {
+    "curve": (("ell", "n"), _FRINGE_KEYS + ("variants", "format", "output")),
+    "metrics": (("ell", "n"), _FRINGE_KEYS + ("table", "n_sweep", "format", "output")),
+    "qfi": (("ell", "n"), ("trials", "format", "output")),
+    # the experiment's own defaults are a full-size run, so its sizes are always set
+    "experiment": (
+        ("points", "trials", "units", "output_dir"),
+        ("ell", "n", "dark_rate", "jitter_factor", "kappa", "offset", "seed", "prefix"),
+    ),
+}
+
+
+def _bad_value(key):
+    junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=4))
+    numbers = [-1, 0, 2.5, math.inf, -math.inf, math.nan] + ([] if key in _SIZES else [1e300, 400])
+    return st.one_of(junk, st.sampled_from(numbers))
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_config_files_fail_only_the_documented_way(data, tmp_path, capsys, monkeypatch):
+    # a run exits 0 with nothing on stderr, or 2 with one line of JSON
+    monkeypatch.chdir(tmp_path)
+    command = data.draw(st.sampled_from(sorted(_CONFIG_KEYS)))
+    required, optional = _CONFIG_KEYS[command]
+    doc = data.draw(
+        st.fixed_dictionaries(
+            {key: _CONFIG_VALUES[key] for key in required},
+            optional={key: _CONFIG_VALUES[key] for key in optional},
+        )
+    )
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(doc)))
+        doc[key] = data.draw(_bad_value(key))
+    if data.draw(st.sampled_from(range(8))) == 7:
+        foreign = sorted(set(_CONFIG_VALUES) - set(required + optional)) + ["dark-rate", "config"]
+        doc[data.draw(st.sampled_from(foreign))] = 1
+    Path("fuzz.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print on stderr
+        rc, out, err = _run([command, "--config", "fuzz.json"], capsys)
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
