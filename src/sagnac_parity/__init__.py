@@ -9,108 +9,26 @@ cross-checking them, Fisher-information bounds, a seeded Monte Carlo detector
 model, and fringe fitting, plus a CLI that tabulates all of it.
 """
 
-from .detector import DetectorModel, DetectorRun, credibility, scan, simulate
-from .fit import (
-    FitConvergenceError,
-    FitResult,
-    error_bars,
-    fit_fringe,
-    load_fringe_data,
-    min_sensitivity_from_fit,
-    sensitivity_from_fit,
-)
-from .fock import (
-    FockTruncation,
-    JointPhotonDistribution,
-    TruncationError,
-    attenuated_joint_distribution,
-    even_odd_probabilities,
-    joint_distribution,
-    parity_sum,
-)
-from .metrics import (
-    ParityCurve,
-    count_fringe_peaks,
-    fringe_figures,
-    fwhm,
-    min_sensitivity,
-    parity_curve,
-    sensitivity,
-    super_resolution_factor,
-    visibility,
-)
-from .model import (
-    FringeModel,
-    ImperfectionProfile,
-    InterferometerSpec,
-    dark_port_mean,
-    parity_expectation,
-    parity_expectation_dark,
-    parity_expectation_efficiency,
-    parity_expectation_ideal,
-    parity_expectation_loss,
-    parity_expectation_prep,
-)
-from .qfi import (
-    QfiProtocol,
-    QfiReport,
-    crb_sensitivity,
-    qfi_mzi,
-    qfi_mzi_phase_averaged,
-    qfi_report,
-    qfi_si,
-)
+from . import detector, fit, fock, metrics, model, qfi
+from .model import *
+from .fock import *
+from .metrics import *
+from .qfi import *
+from .detector import *
+from .fit import *
 from .cli import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
 
+# the package namespace is each module's __all__, plus the experiment entry
 __all__ = [
     "__version__",
-    "InterferometerSpec",
-    "ImperfectionProfile",
-    "FringeModel",
-    "dark_port_mean",
-    "parity_expectation_ideal",
-    "parity_expectation_prep",
-    "parity_expectation_loss",
-    "parity_expectation_efficiency",
-    "parity_expectation_dark",
-    "parity_expectation",
-    "FockTruncation",
-    "TruncationError",
-    "JointPhotonDistribution",
-    "joint_distribution",
-    "attenuated_joint_distribution",
-    "parity_sum",
-    "even_odd_probabilities",
-    "ParityCurve",
-    "parity_curve",
-    "sensitivity",
-    "min_sensitivity",
-    "visibility",
-    "fwhm",
-    "super_resolution_factor",
-    "fringe_figures",
-    "count_fringe_peaks",
-    "QfiProtocol",
-    "QfiReport",
-    "qfi_si",
-    "qfi_mzi",
-    "qfi_mzi_phase_averaged",
-    "crb_sensitivity",
-    "qfi_report",
-    "DetectorModel",
-    "DetectorRun",
-    "simulate",
-    "scan",
-    "credibility",
-    "FitResult",
-    "FitConvergenceError",
-    "fit_fringe",
-    "error_bars",
-    "sensitivity_from_fit",
-    "min_sensitivity_from_fit",
-    "load_fringe_data",
+    *model.__all__,
+    *fock.__all__,
+    *metrics.__all__,
+    *qfi.__all__,
+    *detector.__all__,
+    *fit.__all__,
     "ExperimentConfig",
     "run_experiment",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import dark_port_mean
+from .model import ImperfectionProfile, dark_port_mean
 
 __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan", "credibility"]
 
@@ -49,12 +49,8 @@ class DetectorModel:
     def __post_init__(self):
         if not isinstance(self.units, (int, np.integer)) or self.units < 1:
             raise ValueError(f"units must be an integer >= 1, got {self.units!r}")
-        if not (0.0 < self.kappa <= 1.0):
-            raise ValueError(f"kappa must be in (0, 1], got {self.kappa}")
-        if not (self.dark_rate >= 0.0 and math.isfinite(self.dark_rate)):
-            raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate}")
-        if not (self.jitter_factor >= 1.0 and math.isfinite(self.jitter_factor)):
-            raise ValueError(f"jitter_factor must be >= 1, got {self.jitter_factor}")
+        # the profile's range checks, and their messages, are the array's
+        ImperfectionProfile(kappa=self.kappa, dark_rate=self.dark_rate, jitter_factor=self.jitter_factor)
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.effective_dark_rate / self.units > 1.0:

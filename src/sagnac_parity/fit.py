@@ -19,14 +19,13 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .metrics import _min_sensitivity, _sensitivity, fringe_figures
-from .model import FringeModel
+from .model import FringeModel, _check_ell, _shape
 
 __all__ = [
     "FitResult",
@@ -78,19 +77,12 @@ def _initial_guess(phi, y, ell, period):
     i = int(np.argmax(y))
     a0 = float(min(max(y[i], 1e-6), 1.0))
     phi0 = float(phi[i])
-    level = 0.5 * (y.max() + y.min())
-    # nearest half crossing on either side of the peak gives a width scale
-    hwhm = None
-    for j in range(i + 1, len(y)):
-        if y[j] <= level:
-            hwhm = phi[j] - phi[i]
-            break
-    if hwhm is None:
-        for j in range(i - 1, -1, -1):
-            if y[j] <= level:
-                hwhm = phi[i] - phi[j]
-                break
-    if hwhm is None or hwhm <= 0:
+    # the nearest sample at or below the half level, right of the peak or
+    # else left of it, gives a width scale; the peak itself is above it
+    below = np.flatnonzero(y <= 0.5 * (y.max() + y.min()))
+    right, left = below[below > i], below[below < i]
+    hwhm = phi[right[0]] - phi[i] if right.size else phi[i] - phi[left[-1]]
+    if hwhm <= 0:
         hwhm = period / 4.0
     s = math.sin(min(2 * ell * hwhm, math.pi / 2.0))
     b0 = math.log(2.0) / max(s * s, 1e-9)
@@ -105,12 +97,31 @@ def fit_fringe(data, ell, fit_floor=False, ftol=1e-10, max_iter=500):
     ``max_iter`` function evaluations.  Requires at least half a period of
     data; the reported offset is reduced to [0, pi/(2 ell)).  Fringes too
     shallow to reach their half level (decay < ln 2) fit normally but report
-    nan for the derived width and resolution factor.
+    nan for the derived width and resolution factor.  Data whose numbers
+    overflow the fit's arithmetic raise ValueError.
     """
-    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
-        raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
+    _check_ell(ell)
     arr = _as_data(data)
-    phi, y, sig = arr[:, 0], arr[:, 1], arr[:, 2]
+    # angles, values or weights so far out of scale that the arithmetic
+    # overflows would carry inf and nan through the solver to a confident
+    # wrong fit, so they are refused
+    try:
+        with np.errstate(over="raise"):
+            res = _solve(arr[:, 0], arr[:, 1], arr[:, 2], ell, fit_floor, ftol, max_iter)
+    except FloatingPointError:
+        raise ValueError("the data overflow the fit's arithmetic") from None
+    if res.status == 0:
+        try:
+            best = _package(res, ell, fit_floor)
+        except ValueError:
+            best = None
+        raise FitConvergenceError(
+            f"no convergence within {max_iter} evaluations", best=best
+        )
+    return _package(res, ell, fit_floor)
+
+
+def _solve(phi, y, sig, ell, fit_floor, ftol, max_iter):
     period = math.pi / (2.0 * ell)
     if phi[-1] - phi[0] < 0.5 * period * (1.0 - 1e-9):
         raise ValueError("data spans less than half a fringe period")
@@ -126,20 +137,14 @@ def fit_fringe(data, ell, fit_floor=False, ftol=1e-10, max_iter=500):
         lower.append(0.0)
         upper.append(1.0)
 
-    def unpack(p):
-        c = p[3] if fit_floor else 0.0
-        return p[0], p[1], p[2], c
-
+    # p is (a, b, phi0[, c]); c is 0 unless the floor is fitted
     def residuals(p):
-        a, b, p0, c = unpack(p)
-        s = np.sin(2 * ell * (phi - p0))
-        return (a * np.exp(-b * s * s) + c - y) / sig
+        a, b, p0, c = (*p, 0.0)[:4]
+        return (a * _shape(phi, b, p0, ell)[2] + c - y) / sig
 
     def jacobian(p):
-        a, b, p0, c = unpack(p)
-        delta = phi - p0
-        s = np.sin(2 * ell * delta)
-        core = np.exp(-b * s * s)
+        a, b, p0, _ = (*p, 0.0)[:4]
+        delta, s, core = _shape(phi, b, p0, ell)
         cols = [
             core / sig,
             -a * s * s * core / sig,
@@ -152,7 +157,7 @@ def fit_fringe(data, ell, fit_floor=False, ftol=1e-10, max_iter=500):
     # xtol near machine precision is the stop that fires on noiseless data,
     # where the cost hits zero and the ftol test (which needs a strictly
     # positive reduction) can never trigger
-    res = least_squares(
+    return least_squares(
         residuals,
         x0,
         jac=jacobian,
@@ -163,18 +168,9 @@ def fit_fringe(data, ell, fit_floor=False, ftol=1e-10, max_iter=500):
         gtol=None,
         max_nfev=max_iter,
     )
-    if res.status == 0:
-        try:
-            best = _package(res, ell, fit_floor, phi.size)
-        except ValueError:
-            best = None
-        raise FitConvergenceError(
-            f"no convergence within {max_iter} evaluations", best=best
-        )
-    return _package(res, ell, fit_floor, phi.size)
 
 
-def _package(res, ell, fit_floor, n_points):
+def _package(res, ell, fit_floor):
     a, b, p0 = res.x[:3]
     c = float(res.x[3]) if fit_floor else 0.0
     period = math.pi / (2.0 * ell)
@@ -206,17 +202,11 @@ def _package(res, ell, fit_floor, n_points):
 
 
 def error_bars(phi, trials, model):
-    """Expected standard error of a parity mean: sqrt((1 - m^2)/trials)."""
-    phi = np.asarray(phi, dtype=float)
+    """Expected standard error of a parity mean: sqrt(model.variance(phi)/trials)."""
     n = np.asarray(trials)
-    if not np.issubdtype(n.dtype, np.integer):
-        if np.any(n != np.floor(n)):
-            raise ValueError("trials must be positive integers")
-        n = n.astype(np.int64)
-    if np.any(n < 1):
+    if np.any(n != np.floor(n)) or np.any(n < 1):
         raise ValueError("trials must be positive integers")
-    m = model(phi)
-    return np.sqrt(np.clip(1.0 - m * m, 0.0, None) / n)
+    return np.sqrt(model.variance(phi) / n)
 
 
 def sensitivity_from_fit(result, phi):
@@ -242,42 +232,54 @@ def _rows_from_columns(columns, rows):
     if phi_col is None or val_col is None:
         raise ValueError(f"no recognizable phi/value columns in {columns!r}")
     sig_col = next((c for c in _SIGMA_COLUMNS if c in columns), None)
-    ip, iv = columns.index(phi_col), columns.index(val_col)
-    out = []
-    for row in rows:
-        phi = float(row[ip])
-        if phi_col == "phi_deg":
-            phi = math.radians(phi)
-        rec = [phi, float(row[iv])]
-        if sig_col is not None:
-            rec.append(float(row[columns.index(sig_col)]))
-        out.append(rec)
-    return np.asarray(out, dtype=float)
+    picks = [columns.index(c) for c in (phi_col, val_col, sig_col) if c is not None]
+    try:
+        out = np.array([[float(row[i]) for i in picks] for row in rows], dtype=float)
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed data row: {exc}") from None
+    if out.size == 0:
+        raise ValueError("table has no data rows")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("table contains non-finite entries")
+    if phi_col == "phi_deg":
+        out[:, 0] = np.radians(out[:, 0])
+    return out
 
 
 def load_fringe_data(source):
-    """Read (phi, value[, sigma]) rows from a CLI-produced CSV or JSON table.
+    """Read (phi, value[, sigma]) rows from a CSV or JSON table.
 
-    Accepts a path or an open text stream.  Degrees columns are converted to
-    radians here, at the boundary.
+    Accepts a path or an open text stream.  A JSON table is an object with
+    a ``columns`` list and a ``rows`` list of lists; a CSV table has a
+    header row, and blank lines are skipped.  Columns are picked by name:
+    phi from phi_rad, phi_deg or phi (degrees are converted to radians
+    here, at the boundary), the value from parity_mean, expectation or
+    value, and the optional sigma from parity_stderr, sigma or error_bar.
+    Of the CLI's outputs only ``experiment``'s ``*_scan.csv`` has a value
+    column; ``curve`` and ``metrics`` tables raise ValueError ("no
+    recognizable phi/value columns").  Short rows, non-numeric or
+    non-finite cells and tables without rows raise ValueError too.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        if not os.path.exists(source):
-            raise FileNotFoundError(source)
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty input")
     if stripped[0] in "{[":
         doc = json.loads(text)
-        if not isinstance(doc, dict) or "columns" not in doc or "rows" not in doc:
-            raise ValueError("JSON table must contain 'columns' and 'rows'")
-        return _rows_from_columns(list(doc["columns"]), doc["rows"])
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty CSV input")
-    return _rows_from_columns([h.strip() for h in header], list(reader))
+        if not (
+            isinstance(doc, dict)
+            and isinstance(doc.get("columns"), list)
+            and isinstance(doc.get("rows"), list)
+            and all(isinstance(row, list) for row in doc["rows"])
+        ):
+            raise ValueError("JSON table must contain a 'columns' list and a 'rows' list of lists")
+        return _rows_from_columns(doc["columns"], doc["rows"])
+    try:
+        header, *rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
+    return _rows_from_columns([h.strip() for h in header], rows)

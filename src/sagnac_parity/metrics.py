@@ -6,11 +6,11 @@ Sensitivity follows from error propagation on a parity fringe m(phi),
 
 evaluated on its :class:`~sagnac_parity.model.FringeModel`: the closed form
 of a profile here, the fitted model in :mod:`sagnac_parity.fit`.  The
-derivative is the model's analytic one, and the variance term is computed
+derivative and the variance are the model's own: the variance is computed
 through expm1 so the limit at the fringe peak (where m -> 1 and both
 numerator and derivative vanish) stays accurate.  Points where the fringe
-is stationary are reported as +inf, a deliberate sentinel distinct from
-any overflow.
+is stationary (derivative exactly 0) are reported as +inf, a deliberate
+sentinel distinct from any overflow.
 
 The figures of m = a y + c, y = exp(-b u), u = sin^2(2 ell (phi - phi0)),
 are closed forms: visibility (1 - e^-b)/(1 + e^-b + 2c/a), FWHM
@@ -43,10 +43,6 @@ __all__ = [
     "fringe_figures",
     "count_fringe_peaks",
 ]
-
-# Below this derivative magnitude the working point is treated as stationary.
-STATIONARY_DERIVATIVE = 1e-15
-
 
 @dataclass(frozen=True)
 class ParityCurve:
@@ -86,19 +82,12 @@ def parity_curve(spec, profile, phi_grid):
 
 def _sensitivity(model, phi):
     # one error-propagation formula for every FringeModel, closed-form or
-    # fitted.  1 - m^2 = (1 - m)(1 + m), and 1 - m = headroom + a(1 - exp(-b u))
-    # is a sum of nonnegative terms, so it never cancels even where m is
-    # within 1e-16 of 1
-    phi = np.asarray(phi, dtype=float)
-    s = np.sin(2 * model.ell * (phi - model.offset))
-    u = s * s
-    one_minus = model.headroom + model.amplitude * (-np.expm1(-model.decay * u))
-    m = model.amplitude * np.exp(-model.decay * u) + model.floor
+    # fitted; the derivative is exactly 0 only at an extremum, and one that
+    # underflows towards 0 overflows the quotient to inf, which is the right
+    # sensitivity there
     d = model.derivative(phi)
-    # a derivative that underflows towards 0 overflows the quotient to inf,
-    # which is the right sensitivity there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(np.abs(d) <= STATIONARY_DERIVATIVE, np.inf, np.sqrt(one_minus * (1.0 + m)) / np.abs(d))
+        out = np.where(d == 0.0, np.inf, np.sqrt(model.variance(phi)) / np.abs(d))
     if out.ndim == 0:
         return float(out)
     return out
@@ -147,7 +136,8 @@ def min_sensitivity(spec, profile, grid_points=1024):
     the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
     phi0, where :func:`sensitivity` is +inf.  Otherwise a grid scan and a
     bounded Brent search find the minimum off the peak.  A fringe flat
-    everywhere (eta -> 0 leaves no signal) returns (nan, inf).
+    everywhere (zero amplitude, e.g. under dark counts that underflow
+    exp(-2 r_eff)) returns (nan, inf).
     """
     return _min_sensitivity(profile.fringe(spec), grid_points)
 

@@ -11,7 +11,8 @@ Every fringe, ideal or imperfect, closed-form or fitted, has one shape,
 
     m(phi) = a * exp(-b sin^2(2 ell (phi - phi0))) + c,
 
-held by :class:`FringeModel`.  :meth:`ImperfectionProfile.fringe` gives its
+held by :class:`FringeModel` with its analytic derivative and its parity
+variance 1 - m^2.  :meth:`ImperfectionProfile.fringe` gives its
 parameters under any mix of imperfections, :func:`parity_expectation`
 evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
@@ -43,6 +44,20 @@ __all__ = [
 _EXTREMUM_ROUNDING = 4.0 * np.finfo(float).eps
 
 
+def _check_ell(ell):
+    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
+        raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
+
+
+def _shape(phi, decay, offset, ell):
+    # the fringe's shape from raw parameters: delta = phi - offset,
+    # s = sin(2 ell delta) and exp(-decay s^2).  Nothing is validated, so fit
+    # iterates outside the parity box (amplitude + floor > 1) still evaluate
+    delta = np.asarray(phi, dtype=float) - offset
+    s = np.sin(2 * ell * delta)
+    return delta, s, np.exp(-decay * s * s)
+
+
 @dataclass(frozen=True)
 class InterferometerSpec:
     """Ideal interferometer configuration.
@@ -59,10 +74,7 @@ class InterferometerSpec:
     mean_photons: float
 
     def __post_init__(self):
-        if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)):
-            raise TypeError(f"ell must be an integer, got {self.ell!r}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
+        _check_ell(self.ell)
         n = self.mean_photons
         if not (isinstance(n, (int, float, np.floating, np.integer)) and math.isfinite(n)):
             raise ValueError(f"mean_photons must be finite, got {n!r}")
@@ -93,8 +105,7 @@ class FringeModel:
     headroom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
-            raise ValueError(f"ell must be an integer >= 1, got {self.ell!r}")
+        _check_ell(self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
         if not (self.amplitude >= 0.0):
@@ -114,20 +125,25 @@ class FringeModel:
         return math.pi / (2.0 * self.ell)
 
     def __call__(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        s = np.sin(2 * self.ell * (phi - self.offset))
-        return self.amplitude * np.exp(-self.decay * s * s) + self.floor
+        return self.amplitude * _shape(phi, self.decay, self.offset, self.ell)[2] + self.floor
 
     def derivative(self, phi):
         """Analytic dm/dphi; exactly 0 within rounding of an extremum phi0 + k*period/2."""
-        phi = np.asarray(phi, dtype=float)
-        delta = phi - self.offset
-        s = np.sin(2 * self.ell * delta)
-        envelope = self.amplitude * np.exp(-self.decay * s * s)
+        delta, _, y = _shape(phi, self.decay, self.offset, self.ell)
         phase = 4 * self.ell * delta
         slope = np.sin(phase)
         slope = np.where(np.abs(slope) <= _EXTREMUM_ROUNDING * np.abs(phase), 0.0, slope)
-        return -2.0 * self.ell * self.decay * slope * envelope
+        return -2.0 * self.ell * self.decay * slope * (self.amplitude * y)
+
+    def variance(self, phi):
+        """Single-readout parity variance 1 - m^2, computed as (1 - m)(1 + m).
+
+        1 - m = headroom + a(1 - exp(-b u)) is a sum of nonnegative terms, so
+        it never cancels, even where m is within 1e-16 of 1.
+        """
+        _, s, y = _shape(phi, self.decay, self.offset, self.ell)
+        one_minus = self.headroom + self.amplitude * -np.expm1(-self.decay * s * s)
+        return one_minus * (1.0 + (self.amplitude * y + self.floor))
 
 
 @dataclass(frozen=True)
@@ -219,21 +235,14 @@ class ImperfectionProfile:
         return model
 
 
-def dark_port_mean(spec, phi, t_a=1.0, t_b=1.0, kappa=1.0):
-    """Mean photon number reaching the parity detector on the dark port.
+def dark_port_mean(spec, phi):
+    """Mean photon number N sin^2(2 ell phi) of the lossless dark port.
 
-    For unequal transmissions the interference contrast degrades and the
-    port mean is kappa*N*(t_a + t_b - 2*sqrt(t_a*t_b)*cos(4*ell*phi))/4.
-    The equal-transmission branch uses the sin^2 form so the ideal and
-    efficiency-only cases degenerate bit-exactly.
+    Loss and detection efficiency enter through
+    :meth:`ImperfectionProfile.fringe`, which states their law.
     """
-    phi = np.asarray(phi, dtype=float)
-    n = spec.mean_photons
-    if t_a == t_b:
-        s = np.sin(2 * spec.ell * phi)
-        return kappa * t_a * n * s * s
-    c = np.cos(4 * spec.ell * phi)
-    return kappa * n * (t_a + t_b - 2.0 * math.sqrt(t_a * t_b) * c) / 4.0
+    s = np.sin(2 * spec.ell * np.asarray(phi, dtype=float))
+    return spec.mean_photons * s * s
 
 
 def parity_expectation(spec, phi, profile):

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .fock import FockTruncation, _log_weights
+from .model import InterferometerSpec
 
 __all__ = [
     "QfiProtocol",
@@ -35,22 +36,15 @@ class QfiProtocol(Enum):
     MZI_PHASE_AVERAGED = "mzi-phase-averaged"
 
 
-def _validate(ell, mean_photons):
-    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
-        raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
-    if not (mean_photons >= 0 and math.isfinite(mean_photons)):
-        raise ValueError(f"mean_photons must be finite and >= 0, got {mean_photons!r}")
-
-
 def qfi_si(ell, mean_photons):
     """QFI of the Sagnac loop, 16 ell^2 N."""
-    _validate(ell, mean_photons)
+    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
     return 16.0 * ell * ell * mean_photons
 
 
 def qfi_mzi(ell, mean_photons):
     """QFI of the single-prism Mach-Zehnder, 8 ell^2 N."""
-    _validate(ell, mean_photons)
+    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
     return 8.0 * ell * ell * mean_photons
 
 
@@ -60,7 +54,7 @@ def qfi_mzi_phase_averaged(ell, mean_photons, trunc=None):
     ``trunc`` bounds the Poisson lattice; the result sits within
     4 ell^2 N * (tail mass) of the closed form 4 ell^2 N.
     """
-    _validate(ell, mean_photons)
+    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
     if trunc is None:
         trunc = FockTruncation.for_mean_photons(mean_photons)
     else:

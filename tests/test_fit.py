@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnac_parity import (
     FitConvergenceError,
@@ -201,6 +203,17 @@ def test_rejects_non_finite_entries_and_bad_sigmas():
         fit_fringe(with_sig, ell=1)
 
 
+def test_rejects_data_that_overflow_the_fit():
+    # a value of 1.3e154 squares past the float range in the solver's cost,
+    # which then ran on through inf and nan to a fit with inf residual_rms
+    data = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.34078079e154]])
+    with pytest.raises(ValueError, match="overflow"):
+        fit_fringe(data, ell=1)
+    phi = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="overflow"):
+        fit_fringe(np.column_stack([phi, np.linspace(0.0, 1.0, 8), np.full(8, 1e-300)]), ell=1)
+
+
 @pytest.mark.parametrize("ell", [0, -2, 1.5, True])
 def test_rejects_bad_charge(ell):
     with pytest.raises(ValueError):
@@ -284,3 +297,106 @@ def test_loaded_scan_refits_to_the_generating_model(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = fit_fringe(load_fringe_data(path), ell=1)
     assert result.model.decay == pytest.approx(4.594, rel=1e-8)
+
+
+# --- fuzzing: a fit or a load succeeds with finite fields, or fails the
+# documented way (ValueError, or FitConvergenceError from the iteration cap)
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _fringe_samples(draw):
+    # rows of a noisy fringe over part of a period, or rows of arbitrary floats
+    ell = draw(st.integers(1, 4))
+    columns = draw(st.sampled_from([2, 3]))
+    if draw(st.sampled_from([True, True, True, False])):
+        rows = draw(st.integers(3, 40))
+        truth = FringeModel(
+            amplitude=draw(st.floats(0.01, 1.0)),
+            decay=draw(st.floats(0.0, 60.0)),
+            offset=draw(st.floats(-3.0, 3.0)),
+            ell=ell,
+        )
+        span = draw(st.floats(0.1, 2.5)) * truth.period
+        phi = draw(st.floats(-3.0, 3.0)) + np.linspace(0.0, span, rows)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.05]))
+        value = truth(phi) + noise * rng.standard_normal(rows)
+        sigma = np.full(rows, max(noise, 1e-3))
+        data = np.column_stack([phi, value, sigma][:columns])
+    else:
+        data = np.array(draw(st.lists(st.lists(_ANY_FLOAT, min_size=columns, max_size=columns), max_size=40)))
+    return data, ell
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    sample=_fringe_samples(),
+    # None fits with the sample's own ell
+    ell=st.sampled_from([None] * 6 + [-1, 0, 6, 1.0, 2.5, True]),
+    fit_floor=st.booleans(),
+    max_iter=st.sampled_from([1, 5, 500, 500]),
+)
+def test_fit_fringe_fails_only_the_documented_way(sample, ell, fit_floor, max_iter):
+    data, true_ell = sample
+    try:
+        result = fit_fringe(data, true_ell if ell is None else ell, fit_floor=fit_floor, max_iter=max_iter)
+    except (ValueError, FitConvergenceError):
+        return
+    model = result.model
+    assert all(math.isfinite(v) for v in (model.amplitude, model.decay, model.offset, model.floor))
+    assert math.isfinite(result.residual_rms)
+    assert all(math.isfinite(v) for v in result.param_stderr.values())
+    derived = result.derived
+    assert all(math.isfinite(derived[k]) for k in ("n_bar", "r", "visibility"))
+    # nan width and factor are documented for fringes that never reach their half level
+    if model.decay >= math.log(2.0):
+        assert math.isfinite(derived["fwhm"]) and math.isfinite(derived["super_resolution_factor"])
+    else:
+        assert math.isnan(derived["fwhm"]) and math.isnan(derived["super_resolution_factor"])
+
+
+_JUNK = st.one_of(
+    _ANY_FLOAT, st.integers(-(10**400), 10**400), st.text(max_size=3), st.none(), st.booleans()
+)
+
+
+@st.composite
+def _tables(draw):
+    # a well-formed CSV or JSON table, then perhaps one kind of damage
+    columns = [
+        draw(st.sampled_from(["phi_rad", "phi_deg", "phi"])),
+        draw(st.sampled_from(["parity_mean", "expectation", "value"])),
+    ]
+    columns = draw(st.permutations(columns + draw(st.lists(st.sampled_from(["sigma", "fit_value", "x"]), max_size=2))))
+    width = len(columns)
+    rows = draw(st.lists(st.lists(st.floats(-10, 10), min_size=width, max_size=width), max_size=8))
+    damage = draw(st.sampled_from([None, None, None, "cell", "row", "column", "document"]))
+    if damage == "cell" and rows:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(_JUNK)
+    elif damage == "row" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.one_of(_JUNK, st.just(rows[i][: draw(st.integers(0, width - 1))])))
+    elif damage == "column":
+        columns[draw(st.integers(0, width - 1))] = draw(st.text(max_size=4))
+    if draw(st.booleans()):
+        doc = {"columns": columns, "rows": rows}
+        if damage == "document":
+            doc[draw(st.sampled_from(["columns", "rows"]))] = draw(_JUNK)
+        return json.dumps(doc)
+    if damage == "document":
+        return draw(st.text(max_size=40))
+    lines = [columns] + [row if isinstance(row, list) else [row] for row in rows]
+    return "\n".join(",".join(str(cell) for cell in line) for line in lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(text=_tables())
+def test_load_fringe_data_fails_only_the_documented_way(text):
+    try:
+        data = load_fringe_data(io.StringIO(text))
+    except ValueError:
+        return
+    assert data.ndim == 2 and data.shape[0] >= 1 and data.shape[1] in (2, 3)
+    assert np.all(np.isfinite(data))

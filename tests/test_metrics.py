@@ -10,6 +10,7 @@ from sagnac_parity import (
     ParityCurve,
     count_fringe_peaks,
     crb_sensitivity,
+    error_bars,
     fringe_figures,
     fwhm,
     min_sensitivity,
@@ -62,12 +63,16 @@ def test_sensitivity_near_the_peak_keeps_full_precision(dark_rate, phi):
     # at r = 1e-12 that subtraction alone costs five digits
     ell, n = 1, 2.297
     spec = InterferometerSpec(ell=ell, mean_photons=n)
+    profile = ImperfectionProfile(dark_rate=dark_rate)
     x = 2.0 * dark_rate + 2.0 * n * math.sin(2 * ell * phi) ** 2
-    expected = math.sqrt(-math.expm1(-x) * (1.0 + math.exp(-x))) / (
-        4.0 * ell * n * abs(math.sin(4 * ell * phi)) * math.exp(-x)
-    )
-    got = sensitivity(spec, ImperfectionProfile(dark_rate=dark_rate), phi)
+    variance = -math.expm1(-x) * (1.0 + math.exp(-x))
+    expected = math.sqrt(variance) / (4.0 * ell * n * abs(math.sin(4 * ell * phi)) * math.exp(-x))
+    got = sensitivity(spec, profile, phi)
     assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # the variance and the error bars read off the same cancellation-free form
+    model = profile.fringe(spec)
+    assert model.variance(phi) == pytest.approx(variance, rel=1e-13, abs=0.0)
+    assert error_bars(phi, 10_000, model) == pytest.approx(math.sqrt(variance / 10_000), rel=1e-13, abs=0.0)
 
 
 def test_sensitivity_approaches_shot_noise_limited_floor():
@@ -105,10 +110,27 @@ def test_balanced_loss_rescales_the_floor():
 
 
 def test_min_sensitivity_flat_fringe_has_no_working_point():
+    # exp(-2 r_eff) underflows to 0 at r_eff = 400: the fringe is exactly flat
     spec = InterferometerSpec(ell=1, mean_photons=1.0)
-    phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=1e-16))
+    phi_star, best = min_sensitivity(spec, ImperfectionProfile(dark_rate=400.0))
     assert math.isnan(phi_star)
     assert best == math.inf
+    # a faint fringe is not flat: eta = 1e-16 leaves no headroom, so its
+    # minimum is the floor 1/(4 ell sqrt(a b / 2)) at the peak
+    phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=1e-16))
+    assert phi_star == 0.0
+    assert best == pytest.approx(2.5e7, rel=1e-15)
+
+
+def test_faint_fringe_off_the_peak_has_a_finite_minimum():
+    # at r = 20 the amplitude is e^-40 ~ 4e-18, so every |dm/dphi| is below
+    # 1e-15; only an exact zero derivative is stationary
+    spec = InterferometerSpec(ell=1, mean_photons=2.0)
+    profile = ImperfectionProfile(dark_rate=20.0)
+    phi_star, best = min_sensitivity(spec, profile)
+    assert 0.0 < phi_star < spec.fringe_period / 2
+    assert best == pytest.approx(min(sensitivity(spec, profile, np.linspace(0.01, 0.7, 2001))), rel=1e-6)
+    assert sensitivity(spec, profile, 0.2) == pytest.approx(7.5e16, rel=0.01)
 
 
 def test_min_sensitivity_respects_quantum_bound():

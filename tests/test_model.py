@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from sagnac_parity import (
+    FockTruncation,
     ImperfectionProfile,
     InterferometerSpec,
-    dark_port_mean,
+    attenuated_joint_distribution,
     parity_expectation,
     parity_expectation_dark,
     parity_expectation_efficiency,
     parity_expectation_ideal,
     parity_expectation_loss,
     parity_expectation_prep,
+    parity_sum,
 )
 
 
@@ -112,12 +114,15 @@ def test_composed_degenerates_bit_exactly_to_single_families():
 
 
 def test_composed_matches_manual_composition():
+    # the light's parity from the Fock lattice (kappa folds into both
+    # transmissions), mixed with the vacuum fraction and damped by dark counts
     spec = InterferometerSpec(ell=1, mean_photons=3.0)
     profile = ImperfectionProfile(eta=0.8, t_a=0.9, t_b=0.7, kappa=0.6, dark_rate=0.02, jitter_factor=1.5)
     phi = np.linspace(0, spec.fringe_period, 41)
-    mu = dark_port_mean(spec, phi, t_a=0.9, t_b=0.7, kappa=0.6)
-    manual = math.exp(-2 * 0.03) * (0.8 * np.exp(-2 * mu) + 0.2)
-    np.testing.assert_allclose(parity_expectation(spec, phi, profile), manual, rtol=1e-15)
+    trunc = FockTruncation.for_mean_photons(3.0, tail_bound=1e-15)
+    light = [parity_sum(attenuated_joint_distribution(spec, p, 0.6 * 0.9, 0.6 * 0.7, trunc)) for p in phi]
+    manual = math.exp(-2 * 0.03) * (0.8 * np.array(light) + 0.2)
+    np.testing.assert_allclose(parity_expectation(spec, phi, profile), manual, rtol=1e-14)
 
 
 def test_composed_peak_with_dark_counts():
@@ -175,15 +180,6 @@ def test_unbalanced_loss_damps_the_fringe_peak():
     # sqrt(T_A T_B) < (T_A + T_B)/2 whenever the transmissions differ
     spec = InterferometerSpec(ell=1, mean_photons=4.0)
     assert parity_expectation_loss(spec, 0.0, 0.9, 0.4) < 1.0
-
-
-def test_dark_port_mean_branches_agree_for_equal_transmissions():
-    spec = InterferometerSpec(ell=2, mean_photons=7.0)
-    phi = np.linspace(0, spec.fringe_period, 29)
-    equal = dark_port_mean(spec, phi, t_a=0.7, t_b=0.7)
-    # nudge one transmission by zero-width epsilon path: evaluate the cos form
-    general = 7.0 * (0.7 + 0.7 - 2.0 * math.sqrt(0.7 * 0.7) * np.cos(8 * phi)) / 4.0
-    np.testing.assert_allclose(equal, general, rtol=1e-12, atol=1e-14)
 
 
 def test_fringe_falls_away_from_peak():
