@@ -9,26 +9,37 @@ cross-checking them, Fisher-information bounds, a seeded Monte Carlo detector
 model, and fringe fitting, plus a CLI that tabulates all of it.
 """
 
-from . import detector, fit, fock, metrics, model, qfi
-from .model import *
-from .fock import *
-from .metrics import *
-from .qfi import *
-from .detector import *
-from .fit import *
-from .cli import ExperimentConfig, run_experiment
+import importlib
 
 __version__ = "0.1.0"
 
-# the package namespace is each module's __all__, plus the experiment entry
-__all__ = [
-    "__version__",
-    *model.__all__,
-    *fock.__all__,
-    *metrics.__all__,
-    *qfi.__all__,
-    *detector.__all__,
-    *fit.__all__,
-    "ExperimentConfig",
-    "run_experiment",
-]
+# The package namespace is each module's __all__, in this order, plus the
+# experiment entry from cli.  It is filled in on first access (PEP 562), so
+# that importing the package, or a subcommand that needs no fit, does not
+# load scipy; fit comes last because it is the module that loads it.
+_MODULES = ("model", "fock", "metrics", "qfi", "detector", "fit")
+_CLI_NAMES = ("ExperimentConfig", "run_experiment")
+
+
+def _module(name):
+    return importlib.import_module(f".{name}", __name__)
+
+
+def __getattr__(name):
+    # submodules first: `from . import metrics` asks hasattr(package,
+    # "metrics"), and searching the modules for it would import fit
+    if name in _MODULES or name == "cli":
+        return _module(name)
+    if name == "__all__":
+        value = ["__version__", *(n for m in _MODULES for n in _module(m).__all__), *_CLI_NAMES]
+    else:
+        owner = next((m for m in _MODULES if name in _module(m).__all__), "cli" if name in _CLI_NAMES else None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(_module(owner), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -132,6 +132,11 @@ def _solve(phi, y, sig, ell, fit_floor, ftol, max_iter):
     x0 = [a0, b0, phi0]
     lower = [1e-12, 0.0, phi0 - period / 2.0]
     upper = [1.0, 1000.0, phi0 + period / 2.0]
+    if not lower[2] < upper[2]:
+        raise ValueError(
+            f"angles of order {abs(phi0):g} rad are too large to resolve the "
+            f"fringe period {period:g} rad in floating point"
+        )
     if fit_floor:
         x0.append(float(max(y.min(), 0.0)))
         lower.append(0.0)

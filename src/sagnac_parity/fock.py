@@ -9,7 +9,8 @@ as an independent cross-check of the closed forms in
 
 All weights are assembled in log space (scipy.special.gammaln for the
 factorials) so lattices up to a few hundred photons stay finite; Poisson
-tails come from scipy.special.pdtrc.
+tails come from scipy.special.pdtrc.  scipy.special is imported by the
+functions that use it, so importing this module costs numpy only.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .model import InterferometerSpec
 
@@ -71,6 +71,8 @@ class FockTruncation:
     @classmethod
     def for_mean_photons(cls, mean_photons, tail_bound=1e-12, n_cap=N_MAX_CAP):
         """Smallest truncation whose Poisson(mean_photons) tail is <= tail_bound."""
+        from scipy.special import pdtrc
+
         if mean_photons < 0:
             raise ValueError("mean_photons must be >= 0")
         ns = np.arange(0, n_cap + 1)
@@ -86,6 +88,8 @@ class FockTruncation:
 
     def check_valid_for(self, mean_photons):
         """Raise if this truncation does not certify the given mean."""
+        from scipy.special import pdtrc
+
         tail = float(pdtrc(self.n_max, mean_photons))
         if tail > self.tail_bound:
             raise TruncationError(
@@ -122,6 +126,8 @@ class JointPhotonDistribution:
 
 def _log_weights(ks, mean):
     # k*ln(mean) - ln(k!) with the mean == 0 case pinned to a point mass at k = 0
+    from scipy.special import gammaln
+
     if mean == 0.0:
         w = np.full(ks.shape, -np.inf)
         w[0] = 0.0

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import ImperfectionProfile, InterferometerSpec, parity_expectation
 
@@ -114,6 +113,10 @@ def _min_sensitivity(model, grid_points):
         # a float scan over a in [1e-6, 1], b in [1e-4, 1e3] and u in (0, 1)
         # found no ratio below 1, the least at u -> 0: the infimum is the peak
         return (float(model.offset), 1.0 / (4.0 * model.ell * math.sqrt(0.5 * model.amplitude * model.decay)))
+    # only this off-peak refinement needs scipy.optimize, the costliest
+    # import of the package, so it is loaded here and not with the module
+    from scipy.optimize import minimize_scalar
+
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
     # search in the shift t from grid[i]: Brent's tolerance has a term
     # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star

@@ -375,17 +375,52 @@ def _run_python(args):
 
 
 def test_module_entry_point_runs_the_cli():
-    proc = _run_python(["-m", "sagnac_parity", "qfi", "--ell", "1", "--n", "2"])
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert proc.stdout.startswith("ell,n,trials,f_si")
+    # runpy warns on stderr if `-m sagnac_parity.cli` finds cli already
+    # imported by the package, so the package must not import it itself
+    for module in ("sagnac_parity", "sagnac_parity.cli"):
+        proc = _run_python(["-m", module, "qfi", "--ell", "1", "--n", "2"])
+        assert proc.returncode == 0, module
+        assert proc.stderr == "", module
+        assert proc.stdout.startswith("ell,n,trials,f_si"), module
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # nothing here needs scipy.stats, and importing it slows every cold start
-    proc = _run_python(["-c", "import sys, sagnac_parity.cli; print('scipy.stats' in sys.modules)"])
+def _modules_after(code):
+    """Names in sys.modules after running `code` in a fresh interpreter."""
+    proc = _run_python(["-c", f"{code}\nimport sys\nprint(*sorted(sys.modules))"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loads(modules, package):
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is most of a cold start, and no subcommand needs it before it runs.
+    # bench/tracing.py wraps the functions of the package modules it finds in
+    # sys.modules once bench/worker.py has imported cli, detector, fit and
+    # fock, so cli itself must keep importing metrics and qfi
+    loaded = _modules_after("import sagnac_parity.cli")
+    assert not _loads(loaded, "scipy")
+    for name in ("model", "detector", "metrics", "fock", "qfi", "cli"):
+        assert f"sagnac_parity.{name}" in loaded, name
+    assert "sagnac_parity.fit" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["curve", "--ell", "1", "--n", "2", "--points", "5"], "scipy"),
+        (["metrics", "--ell", "1", "--n", "2.297"], "scipy"),
+        (["qfi", "--ell", "1", "--n", "2"], "scipy.optimize"),
+    ],
+    ids=["curve", "metrics", "qfi"],
+)
+def test_subcommands_load_only_the_scipy_they_run(argv, unloaded):
+    # qfi's phase-averaged sum needs scipy.special through the Fock lattice;
+    # only fits and off-peak sensitivity minima need scipy.optimize
+    loaded = _modules_after(f"from sagnac_parity.cli import main\nmain({argv!r})")
+    assert not _loads(loaded, unloaded)
 
 
 _VARIANT_NAMES = ["ideal", "prep", "loss", "efficiency", "dark", "composed"]

@@ -191,6 +191,14 @@ def test_rejects_short_angular_span():
         fit_fringe(np.column_stack([phi, truth(phi)]), ell=1)
 
 
+def test_rejects_angles_too_large_to_resolve_the_period():
+    # at 1e16 rad the float spacing is 2 rad, so phi0 +- period/2 rounds to
+    # phi0 and leaves the offset no room to fit
+    phi = 1e16 + np.linspace(0.0, math.pi / 2, 40)
+    with pytest.raises(ValueError, match=r"angles of order 1e\+16 rad .* fringe period 1.5708 rad"):
+        fit_fringe(np.column_stack([phi, np.exp(-2.0 * np.sin(2.0 * phi) ** 2)]), ell=1)
+
+
 def test_rejects_non_finite_entries_and_bad_sigmas():
     data = _noiseless_data(REFERENCE, 20)
     bad = data.copy()

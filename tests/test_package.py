@@ -66,3 +66,10 @@ def test_package_namespace_is_the_modules_all_lists():
     assert sagnac_parity.ExperimentConfig is cli.ExperimentConfig
     assert sagnac_parity.run_experiment is cli.run_experiment
     assert isinstance(sagnac_parity.__version__, str)
+    # the namespace is filled in on access, so listing and star-imports
+    # must see the same names, and a miss must stay an AttributeError
+    assert set(names) <= set(dir(sagnac_parity))
+    star = {}
+    exec("from sagnac_parity import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert not hasattr(sagnac_parity, "no_such_name")
