@@ -36,7 +36,7 @@ for ell in (1, 2, 3, 5):
 # error-propagation sensitivity against 1/sqrt(16 ell^2 N)
 print()
 print("parity readout vs quantum bound (nu = 1 trial):")
-ideal = ImperfectionProfile.ideal()
+ideal = ImperfectionProfile()
 print(f"  {'ell':>4} {'N':>6} {'achieved dphi':>14} {'bound 1/sqrt(F)':>16} {'ratio':>8}")
 for ell, n in ((1, 1.0), (1, 10.0), (3, 10.0), (5, 20.0)):
     spec = InterferometerSpec(ell=ell, mean_photons=n)

@@ -10,25 +10,19 @@ degrades accordingly.
 """
 import math
 
-import numpy as np
-
 from sagnac_parity import (
     ImperfectionProfile,
     InterferometerSpec,
-    fwhm,
+    fringe_figures,
     min_sensitivity,
-    parity_curve,
     parity_expectation,
     parity_expectation_ideal,
-    visibility,
 )
 
 spec = InterferometerSpec(ell=1, mean_photons=10.0)
-period = spec.fringe_period
-grid = np.linspace(-period / 2.0, period / 2.0, 4097)
 
 profiles = {
-    "ideal": ImperfectionProfile.ideal(),
+    "ideal": ImperfectionProfile(),
     "prep eta=0.8": ImperfectionProfile(eta=0.8),
     "loss Ta=0.9 Tb=0.6": ImperfectionProfile(t_a=0.9, t_b=0.6),
     "efficiency k=0.7": ImperfectionProfile(kappa=0.7),
@@ -44,13 +38,14 @@ print()
 print(f"  {'profile':<20} {'peak':>8} {'trough':>8} {'visibility':>11} "
       f"{'fwhm':>8} {'best dphi':>10} {'x SNL':>7}")
 for name, profile in profiles.items():
-    curve = parity_curve(spec, profile, grid)
-    top = float(curve.values.max())
-    bottom = float(curve.values.min())
-    width = fwhm(curve)
+    fringe = profile.fringe(spec)
+    # the peak sits at the fringe offset, the trough half a period away
+    top = fringe(fringe.offset)
+    bottom = fringe(fringe.offset + fringe.period / 2.0)
+    visibility, width, _ = fringe_figures(fringe)
     _, best = min_sensitivity(spec, profile)
     print(
-        f"  {name:<20} {top:8.4f} {bottom:8.4f} {visibility(curve):11.4f} "
+        f"  {name:<20} {top:8.4f} {bottom:8.4f} {visibility:11.4f} "
         f"{width:8.4f} {best:10.6f} {best / snl:7.3f}"
     )
 
@@ -67,12 +62,12 @@ for eta in (1.0, 0.8, 0.5, 0.25):
 # so the width survives even when the amplitude drops
 print()
 print("dark counts damp the amplitude but preserve the width:")
-clean = parity_curve(spec, ImperfectionProfile.ideal(), grid)
+_, clean_width, _ = fringe_figures(ImperfectionProfile().fringe(spec))
 for r in (0.0, 0.1, 0.5):
-    profile = ImperfectionProfile(dark_rate=r)
-    curve = parity_curve(spec, profile, grid)
-    print(f"  r_eff={r:4.2f}: peak {float(curve.values.max()):.4f}  "
-          f"fwhm {fwhm(curve):.6f} (ideal {fwhm(clean):.6f})")
+    fringe = ImperfectionProfile(dark_rate=r).fringe(spec)
+    _, width, _ = fringe_figures(fringe)
+    print(f"  r_eff={r:4.2f}: peak {fringe(fringe.offset):.4f}  "
+          f"fwhm {width:.6f} (ideal {clean_width:.6f})")
 
 # the composed curve is the product of its family factors
 phi = 0.2

@@ -11,25 +11,18 @@ import math
 
 import numpy as np
 
-from sagnac_parity import (
-    ImperfectionProfile,
-    InterferometerSpec,
-    count_fringe_peaks,
-    fwhm,
-    parity_curve,
-    parity_expectation_ideal,
-    super_resolution_factor,
-    visibility,
-)
+from sagnac_parity import ImperfectionProfile, InterferometerSpec, fringe_figures, parity_expectation_ideal
 
-ideal = ImperfectionProfile.ideal()
+ideal = ImperfectionProfile()
 
 # one full turn of the Dove prism, three charges
 turn = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
 print("peaks per turn (expect 4*ell):")
 for ell in (1, 2, 3):
     spec = InterferometerSpec(ell=ell, mean_photons=5.0)
-    peaks = count_fringe_peaks(parity_expectation_ideal(spec, turn))
+    values = parity_expectation_ideal(spec, turn)
+    # strict local maxima of the cyclically sampled turn
+    peaks = np.count_nonzero((values > np.roll(values, 1)) & (values > np.roll(values, -1)))
     print(f"  ell={ell}: {peaks}")
 
 # fringe narrowing with photon number at fixed charge
@@ -37,25 +30,15 @@ print()
 print("ell=1 fringe width vs mean photon number:")
 print(f"  {'N':>6} {'fwhm (rad)':>12} {'visibility':>11} {'resolution factor':>18}")
 for n in (1.0, 2.297, 5.0, 10.0, 20.0):
-    spec = InterferometerSpec(ell=1, mean_photons=n)
-    period = spec.fringe_period
-    grid = np.linspace(-period / 2.0, period / 2.0, 4097)
-    curve = parity_curve(spec, ideal, grid)
-    width = fwhm(curve)
-    print(
-        f"  {n:6.3f} {width:12.6f} {visibility(curve):11.6f} "
-        f"{super_resolution_factor(curve):18.3f}"
-    )
+    visibility, width, factor = fringe_figures(ideal.fringe(InterferometerSpec(ell=1, mean_photons=n)))
+    print(f"  {n:6.3f} {width:12.6f} {visibility:11.6f} {factor:18.3f}")
 
 # the classical cos^2 fringe has width pi; the parity fringe beats it by
 # the resolution factor, which grows like 2 ell sqrt(2 N / ln 2)
 print()
 print("charge scaling at N=10 (width halves per unit of ell):")
 for ell in (1, 2, 4):
-    spec = InterferometerSpec(ell=ell, mean_photons=10.0)
-    period = spec.fringe_period
-    grid = np.linspace(-period / 2.0, period / 2.0, 4097)
-    width = fwhm(parity_curve(spec, ideal, grid))
+    _, width, _ = fringe_figures(ideal.fringe(InterferometerSpec(ell=ell, mean_photons=10.0)))
     print(f"  ell={ell}: fwhm {width:.6f} rad, ell*fwhm {ell * width:.6f}")
 
 try:

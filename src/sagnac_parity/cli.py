@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -138,38 +139,38 @@ def run_experiment(config: ExperimentConfig) -> dict:
         _write_csv(
             fh,
             ["phi_rad", "parity_mean", "parity_stderr", "fit_value", "error_bar"],
-            zip(phis, means, stderrs, fit_values, bars),
+            zip(*(col.tolist() for col in (phis, means, stderrs, fit_values, bars))),
         )
     with open(paths["sensitivity"], "w", encoding="utf-8", newline="") as fh:
         _write_csv(
             fh,
             ["phi_rad", "sensitivity_rad", "shot_noise_limit_rad"],
-            ((p, s, snl) for p, s in zip(dense, sens)),
+            ((p, s, snl) for p, s in zip(dense.tolist(), sens.tolist())),
         )
 
-    doc = {
+    doc = _jsonable({
         "schema_version": 1,
         "config": {k: v for k, v in asdict(config).items() if k not in ("prefix", "output_dir")},
         "parameters": {
-            "amplitude": _jsonable(result.model.amplitude),
-            "decay": _jsonable(result.model.decay),
-            "offset_rad": _jsonable(result.model.offset),
-            "floor": _jsonable(result.model.floor),
+            "amplitude": result.model.amplitude,
+            "decay": result.model.decay,
+            "offset_rad": result.model.offset,
+            "floor": result.model.floor,
         },
-        "param_stderr": {k: _jsonable(v) for k, v in result.param_stderr.items()},
-        "residual_rms": _jsonable(result.residual_rms),
+        "param_stderr": result.param_stderr,
+        "residual_rms": result.residual_rms,
         "derived": {
-            "n_bar": _jsonable(result.derived["n_bar"]),
-            "r": _jsonable(result.derived["r"]),
-            "visibility": _jsonable(result.derived["visibility"]),
-            "fwhm_rad": _jsonable(result.derived["fwhm"]),
-            "super_resolution_factor": _jsonable(result.derived["super_resolution_factor"]),
+            "n_bar": result.derived["n_bar"],
+            "r": result.derived["r"],
+            "visibility": result.derived["visibility"],
+            "fwhm_rad": result.derived["fwhm"],
+            "super_resolution_factor": result.derived["super_resolution_factor"],
         },
-        "min_sensitivity": {"phi_rad": _jsonable(phi_star), "value_rad": _jsonable(best)},
-        "shot_noise_limit_rad": _jsonable(snl),
-        "ratio_to_snl": _jsonable(best / snl),
+        "min_sensitivity": {"phi_rad": phi_star, "value_rad": best},
+        "shot_noise_limit_rad": snl,
+        "ratio_to_snl": best / snl,
         "files": paths,
-    }
+    })
     with open(paths["fit"], "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -179,39 +180,28 @@ def run_experiment(config: ExperimentConfig) -> dict:
 # --- serialization helpers -------------------------------------------------
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _jsonable(value):
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+    # strict JSON has no inf or nan: each becomes null; tuples become lists
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
 def _write_csv(stream, columns, rows):
+    # rows hold Python scalars: csv writes a float with repr and an int with str
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
 
 
 def _emit_table(stream, fmt, name, columns, rows):
     if fmt == "json":
-        doc = {
-            "schema_version": 1,
-            "table": name,
-            "columns": list(columns),
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
-        json.dump(doc, stream, indent=2)
+        doc = {"schema_version": 1, "table": name, "columns": list(columns), "rows": list(rows)}
+        json.dump(_jsonable(doc), stream, indent=2)
         stream.write("\n")
     else:
         _write_csv(stream, columns, rows)
@@ -379,7 +369,7 @@ def _cmd_curve(args):
         "composed": lambda: parity_expectation(spec, grid, profile),
     }
     cols = [phi_out] + [np.asarray(columns_by_name[name]()) for name in names]
-    return "curve", [phi_name] + names, zip(*cols)
+    return "curve", [phi_name] + names, zip(*(col.tolist() for col in cols))
 
 
 def _cmd_metrics(args):
@@ -388,7 +378,8 @@ def _cmd_metrics(args):
     if args.table == "sensitivity":
         spec = _spec_from(args)
         grid, phi_name, phi_out = _grid_from(args, spec)
-        return "sensitivity", [phi_name, "sensitivity_rad"], zip(phi_out, metrics.sensitivity(spec, profile, grid))
+        sens = metrics.sensitivity(spec, profile, grid)
+        return "sensitivity", [phi_name, "sensitivity_rad"], zip(phi_out.tolist(), sens.tolist())
 
     if args.ell is None:
         raise ValueError("--ell is required (flag or config)")
@@ -468,7 +459,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # built on the first main() call, not at import, and reused after it
     parser = _Parser(
         prog="sagnac-parity",
         description="Parity-readout OAM interferometry: fringes, metrics, bounds, simulated runs.",

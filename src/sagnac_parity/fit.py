@@ -5,9 +5,10 @@ The model is the :class:`~sagnac_parity.model.FringeModel` family
     m(phi) = a * exp(-b * sin^2(2 ell (phi - phi0))) + c,
 
 the exact shape of every closed-form fringe in this package, with the floor
-c frozen at zero unless explicitly requested.  Amplitude and decay
-reparameterize as a = exp(-2 r) and b = 2 n_bar, so a fit recovers the mean
-photon number at the detector and the effective dark rate of the apparatus.
+c frozen at zero unless explicitly requested, and then held to a + c <= 1.
+Amplitude and decay reparameterize as a = exp(-2 r) and b = 2 n_bar, so a
+fit recovers the mean photon number at the detector and the effective dark
+rate of the apparatus.
 
 Derived quantities (visibility, width, super-resolution factor) and the
 fitted sensitivity are always recomputed from the fitted model through the
@@ -89,39 +90,47 @@ def _initial_guess(phi, y, ell, period):
     return a0, float(min(max(b0, 1e-3), 500.0)), phi0
 
 
-def fit_fringe(data, ell, fit_floor=False, ftol=1e-10, max_iter=500):
+def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     """Weighted least-squares fit of the fringe model to (phi, value[, sigma]) rows.
 
     Converges when the relative decrease of the weighted residual norm falls
-    below ``ftol`` (default 1e-10) or raises FitConvergenceError after
-    ``max_iter`` function evaluations.  Requires at least half a period of
-    data; the reported offset is reduced to [0, pi/(2 ell)).  Fringes too
-    shallow to reach their half level (decay < ln 2) fit normally but report
-    nan for the derived width and resolution factor.  Data whose numbers
-    overflow the fit's arithmetic raise ValueError.
+    below 1e-10 or raises FitConvergenceError after ``max_iter`` function
+    evaluations.  Requires at least half a period of data; the reported
+    offset is reduced to [0, pi/(2 ell)).  A fitted floor keeps the peak
+    amplitude + floor at most 1: when the free fit lands above, the fit is
+    redone with the peak pinned at parity 1 (floor = 1 - amplitude).
+    Fringes too shallow to reach their half level (decay < ln 2) fit
+    normally but report nan for the derived width and resolution factor.
+    Data whose numbers overflow the fit's arithmetic raise ValueError.
     """
     _check_ell(ell)
     arr = _as_data(data)
+    floor = "free" if fit_floor else "zero"
     # angles, values or weights so far out of scale that the arithmetic
     # overflows would carry inf and nan through the solver to a confident
     # wrong fit, so they are refused
     try:
         with np.errstate(over="raise"):
-            res = _solve(arr[:, 0], arr[:, 1], arr[:, 2], ell, fit_floor, ftol, max_iter)
+            res = _solve(*arr.T, ell, floor, max_iter)
+            # for fixed decay and offset the fit is linear in (a, c), so the
+            # best fit inside a + c <= 1 lies on that edge if the free one is out
+            if floor == "free" and res.status != 0 and res.x[0] + res.x[3] > 1.0 + 1e-12:
+                floor = "peak"
+                res = _solve(*arr.T, ell, floor, max_iter)
     except FloatingPointError:
         raise ValueError("the data overflow the fit's arithmetic") from None
     if res.status == 0:
         try:
-            best = _package(res, ell, fit_floor)
+            best = _package(res, ell, floor)
         except ValueError:
             best = None
         raise FitConvergenceError(
             f"no convergence within {max_iter} evaluations", best=best
         )
-    return _package(res, ell, fit_floor)
+    return _package(res, ell, floor)
 
 
-def _solve(phi, y, sig, ell, fit_floor, ftol, max_iter):
+def _solve(phi, y, sig, ell, floor, max_iter):
     period = math.pi / (2.0 * ell)
     if phi[-1] - phi[0] < 0.5 * period * (1.0 - 1e-9):
         raise ValueError("data spans less than half a fringe period")
@@ -137,25 +146,28 @@ def _solve(phi, y, sig, ell, fit_floor, ftol, max_iter):
             f"angles of order {abs(phi0):g} rad are too large to resolve the "
             f"fringe period {period:g} rad in floating point"
         )
-    if fit_floor:
+    if floor == "free":
         x0.append(float(max(y.min(), 0.0)))
         lower.append(0.0)
         upper.append(1.0)
 
-    # p is (a, b, phi0[, c]); c is 0 unless the floor is fitted
+    # p is (a, b, phi0[, c]); c is fitted when free, else 0 or, with the
+    # peak pinned, 1 - a: then m = a (y - 1) + 1 and dm/da = y - 1
+    pinned = float(floor == "peak")
+
     def residuals(p):
-        a, b, p0, c = (*p, 0.0)[:4]
+        a, b, p0, c = (*p, pinned * (1.0 - p[0]))[:4]
         return (a * _shape(phi, b, p0, ell)[2] + c - y) / sig
 
     def jacobian(p):
-        a, b, p0, _ = (*p, 0.0)[:4]
+        a, b, p0 = p[:3]
         delta, s, core = _shape(phi, b, p0, ell)
         cols = [
-            core / sig,
+            (core - pinned) / sig,
             -a * s * s * core / sig,
             2.0 * ell * b * np.sin(4 * ell * delta) * a * core / sig,
         ]
-        if fit_floor:
+        if floor == "free":
             cols.append(np.ones_like(phi) / sig)
         return np.column_stack(cols)
 
@@ -168,16 +180,16 @@ def _solve(phi, y, sig, ell, fit_floor, ftol, max_iter):
         jac=jacobian,
         bounds=(lower, upper),
         method="trf",
-        ftol=ftol,
+        ftol=1e-10,
         xtol=1e-14,
         gtol=None,
         max_nfev=max_iter,
     )
 
 
-def _package(res, ell, fit_floor):
+def _package(res, ell, floor):
     a, b, p0 = res.x[:3]
-    c = float(res.x[3]) if fit_floor else 0.0
+    c = {"zero": 0.0, "peak": 1.0 - float(a), "free": float(res.x[-1])}[floor]
     period = math.pi / (2.0 * ell)
     p0 = math.fmod(p0, period)
     if p0 < 0:
@@ -195,8 +207,10 @@ def _package(res, ell, fit_floor):
 
     jtj = res.jac.T @ res.jac
     cov_diag = np.diag(np.linalg.pinv(jtj))
-    names = ["amplitude", "decay", "offset"] + (["floor"] if fit_floor else [])
+    names = ["amplitude", "decay", "offset"] + (["floor"] if floor == "free" else [])
     stderr = {k: float(math.sqrt(max(v, 0.0))) for k, v in zip(names, cov_diag)}
+    if floor == "peak":
+        stderr["floor"] = stderr["amplitude"]  # c = 1 - a
 
     return FitResult(
         model=model,
@@ -219,9 +233,9 @@ def sensitivity_from_fit(result, phi):
     return _sensitivity(result.model if isinstance(result, FitResult) else result, phi)
 
 
-def min_sensitivity_from_fit(result, grid_points=1024):
+def min_sensitivity_from_fit(result):
     """Minimum of sensitivity_from_fit over one period: (phi_star, value)."""
-    return _min_sensitivity(result.model if isinstance(result, FitResult) else result, grid_points)
+    return _min_sensitivity(result.model if isinstance(result, FitResult) else result)
 
 
 # --- reading fringe data back from CLI output -----------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "joint_distribution",
     "attenuated_joint_distribution",
     "parity_sum",
-    "even_odd_probabilities",
 ]
 
 # Hard ceiling on the lattice size; gammaln stays accurate far beyond the
@@ -69,18 +68,18 @@ class FockTruncation:
             raise ValueError(f"tail_bound must be in (0, 1), got {self.tail_bound!r}")
 
     @classmethod
-    def for_mean_photons(cls, mean_photons, tail_bound=1e-12, n_cap=N_MAX_CAP):
+    def for_mean_photons(cls, mean_photons, tail_bound=1e-12):
         """Smallest truncation whose Poisson(mean_photons) tail is <= tail_bound."""
         from scipy.special import pdtrc
 
         if mean_photons < 0:
             raise ValueError("mean_photons must be >= 0")
-        ns = np.arange(0, n_cap + 1)
+        ns = np.arange(0, N_MAX_CAP + 1)
         tails = pdtrc(ns, mean_photons)
         ok = np.flatnonzero(tails <= tail_bound)
         if ok.size == 0:
             raise TruncationError(
-                f"no n_max <= {n_cap} reaches tail {tail_bound:g} for mean "
+                f"no n_max <= {N_MAX_CAP} reaches tail {tail_bound:g} for mean "
                 f"{mean_photons:g}; best achievable is {tails[-1]:g}",
                 achievable_tail=float(tails[-1]),
             )
@@ -175,26 +174,11 @@ def attenuated_joint_distribution(spec, phi, t_a, t_b, trunc):
     return _product_lattice(abs(a_out) ** 2, abs(b_out) ** 2, phi, spec, trunc)
 
 
-def _check_deficit(dist):
-    deficit = 1.0 - float(dist.probs.sum())
-    if deficit > 2.0 * dist.truncation.tail_bound:
-        warnings.warn(
-            f"truncated lattice misses probability mass {deficit:g}", stacklevel=3
-        )
-
-
 def parity_sum(dist):
     """Brute-force parity expectation: sum of (-1)^m P(n, m) over the lattice."""
-    _check_deficit(dist)
+    deficit = 1.0 - float(dist.probs.sum())
+    if deficit > 2.0 * dist.truncation.tail_bound:
+        warnings.warn(f"truncated lattice misses probability mass {deficit:g}", stacklevel=2)
     m = np.arange(dist.probs.shape[1])
     signs = 1.0 - 2.0 * (m % 2)
     return float((dist.probs * signs[None, :]).sum())
-
-
-def even_odd_probabilities(dist):
-    """(P_even, P_odd) of the port-B photon number, summed over the lattice."""
-    _check_deficit(dist)
-    m = np.arange(dist.probs.shape[1])
-    even = float(dist.probs[:, m % 2 == 0].sum())
-    odd = float(dist.probs[:, m % 2 == 1].sum())
-    return even, odd

@@ -38,10 +38,12 @@ __all__ = [
     "min_sensitivity",
     "visibility",
     "fwhm",
-    "super_resolution_factor",
     "fringe_figures",
-    "count_fringe_peaks",
 ]
+
+# grid points of the scan that brackets the off-peak sensitivity minimum
+_GRID_POINTS = 1024
+
 
 @dataclass(frozen=True)
 class ParityCurve:
@@ -100,10 +102,10 @@ def sensitivity(spec, profile, phi):
     return _sensitivity(profile.fringe(spec), phi)
 
 
-def _min_sensitivity(model, grid_points):
+def _min_sensitivity(model):
     # grid scan over one period, then the closed-form floor or a Brent refinement
     period = model.period
-    grid = model.offset + np.linspace(0.0, period, grid_points, endpoint=False)
+    grid = model.offset + np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
     vals = _sensitivity(model, grid)
     finite = np.isfinite(vals)
     if not finite.any():
@@ -120,7 +122,7 @@ def _min_sensitivity(model, grid_points):
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
     # search in the shift t from grid[i]: Brent's tolerance has a term
     # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star
-    step = period / grid_points
+    step = period / _GRID_POINTS
     res = minimize_scalar(
         lambda t: _sensitivity(model, grid[i] + t),
         bounds=(-step, step),
@@ -132,7 +134,7 @@ def _min_sensitivity(model, grid_points):
     return (float(grid[i] + res.x), float(res.fun))
 
 
-def min_sensitivity(spec, profile, grid_points=1024):
+def min_sensitivity(spec, profile):
     """Infimum of delta_phi over one fringe period, as (phi_star, delta_phi).
 
     With no headroom (ideal, preparation, efficiency, balanced loss) it is
@@ -142,7 +144,7 @@ def min_sensitivity(spec, profile, grid_points=1024):
     everywhere (zero amplitude, e.g. under dark counts that underflow
     exp(-2 r_eff)) returns (nan, inf).
     """
-    return _min_sensitivity(profile.fringe(spec), grid_points)
+    return _min_sensitivity(profile.fringe(spec))
 
 
 def visibility(curve, period=None):
@@ -202,15 +204,6 @@ def fwhm(curve, floor=None):
     return right - left
 
 
-def super_resolution_factor(curve, floor=None):
-    """pi / FWHM: width gain over a classical single-photon fringe.
-
-    The classical reference fringe (1 + cos phi)/2 has period 2 pi and a
-    half-maximum width of pi, so the ratio is the super-resolution factor.
-    """
-    return math.pi / fwhm(curve, floor=floor)
-
-
 def fringe_figures(model):
     """Visibility, FWHM and super-resolution factor pi/FWHM of a FringeModel.
 
@@ -227,13 +220,3 @@ def fringe_figures(model):
     vis = -math.expm1(-b) / (1.0 + math.exp(-b) + 2.0 * (c / a))
     width = math.asin(math.sqrt(math.log(2.0) / b)) / model.ell if b >= math.log(2.0) else math.nan
     return vis, width, math.pi / width
-
-
-def count_fringe_peaks(values):
-    """Number of strict local maxima of a cyclically sampled curve."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 3:
-        raise ValueError("need a 1-D array of at least 3 samples")
-    left = np.roll(v, 1)
-    right = np.roll(v, -1)
-    return int(np.count_nonzero((v > left) & (v > right)))

@@ -181,27 +181,10 @@ class ImperfectionProfile:
         if not (self.jitter_factor >= 1.0 and math.isfinite(self.jitter_factor)):
             raise ValueError(f"jitter_factor must be >= 1, got {self.jitter_factor}")
 
-    @classmethod
-    def ideal(cls) -> "ImperfectionProfile":
-        return cls()
-
     @property
     def effective_dark_rate(self) -> float:
         """Dark rate after jitter widening, r_eff = jitter_factor * dark_rate."""
         return self.jitter_factor * self.dark_rate
-
-    def active_imperfections(self) -> tuple[str, ...]:
-        """Names of the imperfection families that differ from ideal."""
-        active = []
-        if self.eta < 1.0:
-            active.append("prep")
-        if self.t_a < 1.0 or self.t_b < 1.0:
-            active.append("loss")
-        if self.kappa < 1.0:
-            active.append("efficiency")
-        if self.effective_dark_rate > 0.0:
-            active.append("dark")
-        return tuple(active)
 
     def fringe(self, spec) -> FringeModel:
         """Parity fringe of `spec` with all of these imperfections applied.

@@ -87,14 +87,14 @@ class QfiReport:
     bound: float
 
 
-def qfi_report(protocol, ell, mean_photons, trials=1, trunc=None):
+def qfi_report(protocol, ell, mean_photons, trials=1):
     """Build a QfiReport for one protocol at the given resources."""
     if protocol is QfiProtocol.SI:
         f = qfi_si(ell, mean_photons)
     elif protocol is QfiProtocol.MZI:
         f = qfi_mzi(ell, mean_photons)
     elif protocol is QfiProtocol.MZI_PHASE_AVERAGED:
-        f = qfi_mzi_phase_averaged(ell, mean_photons, trunc)
+        f = qfi_mzi_phase_averaged(ell, mean_photons)
     else:
         raise TypeError(f"unknown protocol {protocol!r}")
     return QfiReport(

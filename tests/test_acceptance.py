@@ -18,7 +18,6 @@ from sagnac_parity import (
     ImperfectionProfile,
     InterferometerSpec,
     attenuated_joint_distribution,
-    count_fringe_peaks,
     credibility,
     fit_fringe,
     joint_distribution,
@@ -36,6 +35,8 @@ from sagnac_parity import (
     run_experiment,
     simulate,
 )
+
+from oracles import count_fringe_peaks
 
 PHOTON_GRID = (1.0, 5.0, 10.0, 20.0)
 CHARGE_GRID = (1, 2, 3, 4, 5)
@@ -97,7 +98,7 @@ def test_criterion_01_closed_forms_match_fock_sums():
 
 def test_criterion_02_ideal_minimum_sensitivity_saturates_the_bound():
     start = time.perf_counter()
-    ideal = ImperfectionProfile.ideal()
+    ideal = ImperfectionProfile()
     worst = 0.0
     for n in PHOTON_GRID:
         for ell in CHARGE_GRID:
@@ -243,7 +244,7 @@ def test_criterion_09_analytic_derivatives_match_finite_differences():
                 f"ideal ell={ell} N={n:g}",
                 spec,
                 lambda p, s=spec: parity_expectation_ideal(s, p),
-                ImperfectionProfile.ideal(),
+                ImperfectionProfile(),
             )
         )
     spec = InterferometerSpec(ell=1, mean_photons=2.0)

@@ -368,6 +368,28 @@ def test_help_exits_cleanly(capsys):
     assert "curve" in out and "experiment" in out
 
 
+def test_calls_in_one_process_do_not_affect_each_other(capsys):
+    # main() reuses one parser per process, so no call may leave state for
+    # the next: each answer is the same in either order
+    calls = [
+        ["curve", "--ell", "1", "--n", "2", "--points", "5", "--format", "json", "--degrees"],
+        ["curve", "--ell", "1", "--n", "2", "--points", "5"],
+        ["metrics", "--ell", "2", "--n", "3", "--kappa", "0.8"],
+        ["metrics", "--ell", "2"],
+        ["qfi", "--ell", "1", "--n", "2", "--trials", "4"],
+        ["qfi", "--ell", "0", "--n", "2"],
+        ["curve", "--bogus"],
+        ["qfi", "--help"],
+        ["qfi", "--ell", "1", "--n", "2"],
+    ]
+    first = [_run(argv, capsys) for argv in calls]
+    again = [_run(argv, capsys) for argv in reversed(calls)][::-1]
+    assert first == again
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 2, 0, 2, 2, 0, 0]
+    assert first[1][1].startswith("phi_rad,composed\n")
+    assert first[8][1].startswith("ell,n,trials,") and ",1," in first[8][1]
+
+
 def _run_python(args):
     src = str(Path(sagnac_parity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,10 +1,11 @@
-"""Smoke test: every demo script runs to completion and prints its results."""
+"""Smoke test: every demo script and the README's quick start run and print results."""
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -12,4 +13,11 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     # demos that write files write them in the working directory
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out

@@ -124,6 +124,25 @@ def test_floor_fit_recovers_an_offset_fringe():
     assert "floor" in result.param_stderr
 
 
+def test_floor_fit_of_a_fringe_peaking_at_parity_one_stays_a_parity():
+    # noise pushes about half of the free fits of this fringe above
+    # amplitude + floor = 1; those must come back on that edge, and no fit
+    # may be worse than the truth, which is inside the box
+    truth = FringeModel(amplitude=0.7, decay=4.0, offset=0.3, ell=1, floor=0.3)
+    phi = np.linspace(0.0, truth.period, 24, endpoint=False)
+    on_edge = 0
+    for seed in range(300):
+        values = truth(phi) + np.random.default_rng(seed).normal(0.0, 0.05, phi.size)
+        result = fit_fringe(np.column_stack([phi, values, np.full(phi.size, 0.05)]), ell=1, fit_floor=True)
+        model = result.model
+        assert model.amplitude + model.floor <= 1.0 + 1e-12
+        on_edge += model.headroom == 0.0
+        truth_rms = math.sqrt(np.mean(((truth(phi) - values) / 0.05) ** 2))
+        assert result.residual_rms <= truth_rms * (1.0 + 1e-9)
+        assert set(result.param_stderr) == {"amplitude", "decay", "offset", "floor"}
+    assert on_edge >= 100
+
+
 def test_error_bars_values():
     dim = FringeModel(amplitude=1.0, decay=50.0, offset=0.0, ell=1)
     assert error_bars(math.pi / 4, 100, dim) == pytest.approx(0.1, rel=1e-12)
@@ -142,7 +161,7 @@ def test_error_bars_rejects_bad_trials():
 def test_fitted_sensitivity_matches_closed_form_for_ideal_shape():
     spec = InterferometerSpec(ell=2, mean_photons=3.5)
     model = FringeModel(amplitude=1.0, decay=2 * 3.5, offset=0.0, ell=2)
-    ideal = ImperfectionProfile.ideal()
+    ideal = ImperfectionProfile()
     phis = np.linspace(0.05, 0.35, 7)
     got = sensitivity_from_fit(model, phis)
     want = sensitivity(spec, ideal, phis)

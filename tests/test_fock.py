@@ -10,7 +10,6 @@ from sagnac_parity import (
     JointPhotonDistribution,
     TruncationError,
     attenuated_joint_distribution,
-    even_odd_probabilities,
     joint_distribution,
     parity_sum,
 )
@@ -75,7 +74,8 @@ def test_parity_sum_matches_closed_form():
 def test_even_odd_probabilities_bracket_parity():
     spec = InterferometerSpec(ell=3, mean_photons=10.0)
     dist = joint_distribution(spec, math.pi / 24, _trunc(10.0))
-    even, odd = even_odd_probabilities(dist)
+    # port-B photon number m even (columns 0, 2, ...) and odd
+    even, odd = dist.probs[:, 0::2].sum(), dist.probs[:, 1::2].sum()
     assert even == pytest.approx(0.5 * (1.0 + math.exp(-10.0)), abs=1e-11)
     assert odd == pytest.approx(0.5 * (1.0 - math.exp(-10.0)), abs=1e-11)
     assert even + odd == pytest.approx(1.0, abs=5e-12)
@@ -84,7 +84,8 @@ def test_even_odd_probabilities_bracket_parity():
 def test_even_odd_approach_half_at_large_photon_number():
     spec = InterferometerSpec(ell=1, mean_photons=20.0)
     dist = joint_distribution(spec, math.pi / 4, _trunc(20.0))
-    even, odd = even_odd_probabilities(dist)
+    # port-B photon number m even (columns 0, 2, ...) and odd
+    even, odd = dist.probs[:, 0::2].sum(), dist.probs[:, 1::2].sum()
     assert even == pytest.approx(0.5, abs=1e-10)
     assert odd == pytest.approx(0.5, abs=1e-10)
 

@@ -41,13 +41,6 @@ def test_profile_rejects_out_of_range_values(kwargs):
         ImperfectionProfile(**kwargs)
 
 
-def test_profile_active_imperfections_lists_departures_from_ideal():
-    assert ImperfectionProfile.ideal().active_imperfections() == ()
-    profile = ImperfectionProfile(eta=0.9, t_b=0.8, dark_rate=0.01)
-    assert profile.active_imperfections() == ("prep", "loss", "dark")
-    assert ImperfectionProfile(kappa=0.7).active_imperfections() == ("efficiency",)
-
-
 def test_effective_dark_rate_is_jitter_scaled():
     profile = ImperfectionProfile(dark_rate=0.02, jitter_factor=2.5)
     assert profile.effective_dark_rate == pytest.approx(0.05, rel=1e-15)
@@ -103,7 +96,7 @@ def test_composed_degenerates_bit_exactly_to_single_families():
     spec = InterferometerSpec(ell=2, mean_photons=5.0)
     phi = np.linspace(0, spec.fringe_period, 64)
 
-    ideal = parity_expectation(spec, phi, ImperfectionProfile.ideal())
+    ideal = parity_expectation(spec, phi, ImperfectionProfile())
     assert np.array_equal(ideal, parity_expectation_ideal(spec, phi))
 
     eff = parity_expectation(spec, phi, ImperfectionProfile(kappa=0.7))
@@ -135,7 +128,7 @@ def test_fringe_values_stay_in_unit_interval():
     spec = InterferometerSpec(ell=2, mean_photons=8.0)
     phi = np.linspace(-1.0, 7.0, 501)
     for profile in (
-        ImperfectionProfile.ideal(),
+        ImperfectionProfile(),
         ImperfectionProfile(eta=0.6),
         ImperfectionProfile(t_a=0.4, t_b=0.9),
         ImperfectionProfile(kappa=0.3, dark_rate=0.1),

@@ -20,16 +20,13 @@ PUBLIC_NAMES = {
     "joint_distribution",
     "attenuated_joint_distribution",
     "parity_sum",
-    "even_odd_probabilities",
     "ParityCurve",
     "parity_curve",
     "sensitivity",
     "min_sensitivity",
     "visibility",
     "fwhm",
-    "super_resolution_factor",
     "fringe_figures",
-    "count_fringe_peaks",
     "QfiProtocol",
     "QfiReport",
     "qfi_si",
@@ -58,7 +55,7 @@ def test_package_namespace_is_the_modules_all_lists():
     names = sagnac_parity.__all__
     modules = (model, fock, metrics, qfi, detector, fit)
     assert names == ["__version__", *(n for m in modules for n in m.__all__), "ExperimentConfig", "run_experiment"]
-    assert len(names) == len(set(names)) == 48
+    assert len(names) == len(set(names)) == 45
     assert set(names) == PUBLIC_NAMES
     for module in modules:
         for name in module.__all__:
