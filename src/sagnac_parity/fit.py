@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .metrics import _min_sensitivity, _sensitivity, fringe_figures
-from .model import FringeModel, _check_ell, _shape
+from .model import FringeModel, _check_integer, _shape
 
 __all__ = [
     "FitResult",
@@ -103,7 +103,7 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     normally but report nan for the derived width and resolution factor.
     Data whose numbers overflow the fit's arithmetic raise ValueError.
     """
-    _check_ell(ell)
+    _check_integer("ell", ell)
     arr = _as_data(data)
     floor = "free" if fit_floor else "zero"
     # angles, values or weights so far out of scale that the arithmetic

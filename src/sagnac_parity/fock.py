@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InterferometerSpec
+from .model import InterferometerSpec, _check_integer
 
 __all__ = [
     "TruncationError",
@@ -62,8 +62,7 @@ class FockTruncation:
     tail_bound: float = 1e-12
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        _check_integer("n_max", self.n_max)
         if not (0.0 < self.tail_bound < 1.0):
             raise ValueError(f"tail_bound must be in (0, 1), got {self.tail_bound!r}")
 

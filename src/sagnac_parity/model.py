@@ -44,9 +44,16 @@ __all__ = [
 _EXTREMUM_ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _check_ell(ell):
-    if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
-        raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
+def _check_integer(name, value, low=1, high=None, requirement=None):
+    # one check for every integer input: a Python or numpy integer, never a
+    # bool, in [low, high); the message names the input and its range
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        raise ValueError(f"{name} must be {requirement or f'an integer >= {low}'}, got {value!r}")
 
 
 def _shape(phi, decay, offset, ell):
@@ -74,7 +81,7 @@ class InterferometerSpec:
     mean_photons: float
 
     def __post_init__(self):
-        _check_ell(self.ell)
+        _check_integer("ell", self.ell)
         n = self.mean_photons
         if not (isinstance(n, (int, float, np.floating, np.integer)) and math.isfinite(n)):
             raise ValueError(f"mean_photons must be finite, got {n!r}")
@@ -105,7 +112,7 @@ class FringeModel:
     headroom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_ell(self.ell)
+        _check_integer("ell", self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
         if not (self.amplitude >= 0.0):

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .fock import FockTruncation, _log_weights
-from .model import InterferometerSpec
+from .model import InterferometerSpec, _check_integer
 
 __all__ = [
     "QfiProtocol",
@@ -66,8 +66,7 @@ def qfi_mzi_phase_averaged(ell, mean_photons, trunc=None):
 
 def crb_sensitivity(fisher_information, trials=1):
     """Cramer-Rao bound 1/sqrt(trials * F); zero information diverges to +inf."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_integer("trials", trials)
     if fisher_information < 0:
         raise ValueError("Fisher information cannot be negative")
     if fisher_information == 0:

@@ -421,9 +421,11 @@ def test_cli_import_loads_no_scipy():
     # scipy is most of a cold start, and no subcommand needs it before it runs.
     # bench/tracing.py wraps the functions of the package modules it finds in
     # sys.modules once bench/worker.py has imported cli, detector, fit and
-    # fock, so cli itself must keep importing metrics and qfi
+    # fock, so cli itself must keep importing metrics and qfi.  The scan's
+    # thread pool is loaded when a scan runs, not at import
     loaded = _modules_after("import sagnac_parity.cli")
     assert not _loads(loaded, "scipy")
+    assert not _loads(loaded, "concurrent.futures")
     for name in ("model", "detector", "metrics", "fock", "qfi", "cli"):
         assert f"sagnac_parity.{name}" in loaded, name
     assert "sagnac_parity.fit" not in loaded

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,14 @@ def test_model_validation():
         DetectorModel(units=4, dark_rate=5.0)  # per-unit dark probability above 1
     with pytest.raises(ValueError):
         DetectorModel(units=64, seed=-1)
+    # a bool is not an integer input; the seed spans the unsigned 64-bit range
+    with pytest.raises(ValueError, match="units"):
+        DetectorModel(units=True)
+    with pytest.raises(ValueError, match="seed"):
+        DetectorModel(seed=False)
+    with pytest.raises(ValueError, match="seed"):
+        DetectorModel(seed=2**64)
+    assert DetectorModel(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_simulate_rejects_bad_trials():
@@ -133,6 +142,9 @@ def test_simulate_rejects_bad_trials():
         simulate(spec, 0.1, model, trials=0)
     with pytest.raises(ValueError):
         simulate(spec, 0.1, model, trials=2.5)
+    # a bool is not a trial count (numpy's binomial would raise TypeError)
+    with pytest.raises(ValueError, match="trials"):
+        simulate(spec, 0.1, model, trials=True)
 
 
 def test_scan_reruns_bit_identically_and_derives_per_point_seeds():
@@ -147,6 +159,34 @@ def test_scan_reruns_bit_identically_and_derives_per_point_seeds():
     point = simulate(spec, float(grid[2]), replace(model, seed=_point_seed(11, 2)), 2000)
     assert rows[2][1] == point.parity_mean
     assert rows[2][2] == point.parity_stderr
+
+
+def test_scan_matches_the_sequential_loop_row_for_row():
+    # the scan runs its points on a thread pool; a grid longer than the pool
+    # makes threads take several points each, in no fixed order
+    spec = InterferometerSpec(ell=1, mean_photons=2.297)
+    model = DetectorModel(units=4096, dark_rate=0.0253, seed=7)
+    grid = 0.7022 + np.linspace(-math.pi / 4, math.pi / 4, max(9, 2 * (os.cpu_count() or 1) + 1))
+    sequential = []
+    for i, phi in enumerate(grid):
+        run = simulate(spec, float(phi), replace(model, seed=_point_seed(7, i)), 5000)
+        sequential.append((float(phi), run.parity_mean, run.parity_stderr))
+    assert scan(spec, model, grid, 5000) == sequential
+
+
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_scan_rejects_bad_trials(trials):
+    spec = InterferometerSpec(ell=1, mean_photons=1.0)
+    with pytest.raises(ValueError, match="trials"):
+        scan(spec, DetectorModel(units=8), np.linspace(0.1, 0.7, 9), trials)
+
+
+def test_scan_rejects_a_nan_angle():
+    spec = InterferometerSpec(ell=1, mean_photons=1.0)
+    grid = np.linspace(0.1, 0.7, 9)
+    grid[5] = np.nan
+    with pytest.raises(ValueError):
+        scan(spec, DetectorModel(units=8), grid, 100)
 
 
 def test_scan_point_seeds_differ():
@@ -197,3 +237,23 @@ def test_click_histogram_matches_the_photon_by_photon_reference(units, sixteenth
     table = np.array([np.bincount(counts, minlength=size), np.bincount(reference, minlength=size)])
     table = table[:, table.sum(axis=0) > 0]
     assert stats.chi2_contingency(table).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi / 32], ids=["0", "pi/32"])
+def test_parity_mean_pulls_are_calibrated_on_a_bright_saturating_array(phi):
+    # a saturating 64-unit array in bright light (p*M of order 1 at pi/32):
+    # over K seeds the pulls of the parity mean against the exact click law
+    # (1 - 2p)^M, in units of the binomial sigma sqrt((1 - m^2)/T), must be
+    # centred on 0 with unit spread
+    ell, n, units, kappa, dark_rate, trials, seeds = 2, 20.0, 64, 0.9, 0.05, 20_000, 400
+    p = 1.0 - (1.0 - dark_rate / units) * math.exp(-kappa * n * math.sin(2 * ell * phi) ** 2 / units)
+    expected = (1.0 - 2.0 * p) ** units
+    sigma = _stderr_bound(expected, trials)
+    spec = InterferometerSpec(ell=ell, mean_photons=n)
+    means = np.array([
+        simulate(spec, phi, DetectorModel(units=units, kappa=kappa, dark_rate=dark_rate, seed=seed), trials).parity_mean
+        for seed in range(seeds)
+    ])
+    pulls = (means - expected) / sigma
+    assert abs(pulls.mean()) < 4.0 / math.sqrt(seeds)
+    assert 0.8 <= pulls.std(ddof=1) <= 1.25

@@ -33,6 +33,12 @@ def test_truncation_error_reports_achievable_tail():
     assert exc.value.achievable_tail > 1e-300
 
 
+@pytest.mark.parametrize("n_max", [0, 2.5, True])
+def test_truncation_rejects_a_cutoff_that_is_not_a_positive_integer(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        FockTruncation(n_max=n_max)
+
+
 def test_truncation_rejects_uncertified_mean():
     trunc = FockTruncation.for_mean_photons(1.0)
     with pytest.raises(TruncationError):

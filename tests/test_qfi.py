@@ -59,7 +59,7 @@ def test_zero_photons_carry_no_information():
     assert crb_sensitivity(0.0) == math.inf
 
 
-@pytest.mark.parametrize("bad_ell", [0, -2, 1.5])
+@pytest.mark.parametrize("bad_ell", [0, -2, 1.5, True])
 def test_validation_rejects_bad_charge(bad_ell):
     with pytest.raises(ValueError):
         qfi_si(bad_ell, 1.0)
@@ -76,7 +76,7 @@ def test_crb_sensitivity_values():
     assert crb_sensitivity(8.0) == pytest.approx(0.35355339059327373, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad_trials", [0, -1, 2.5])
+@pytest.mark.parametrize("bad_trials", [0, -1, 2.5, True])
 def test_crb_sensitivity_rejects_bad_trials(bad_trials):
     with pytest.raises(ValueError):
         crb_sensitivity(4.0, trials=bad_trials)
