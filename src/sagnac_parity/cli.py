@@ -35,16 +35,7 @@ import numpy as np
 
 from . import metrics, qfi
 from .detector import DetectorModel, scan
-from .model import (
-    ImperfectionProfile,
-    InterferometerSpec,
-    parity_expectation,
-    parity_expectation_dark,
-    parity_expectation_efficiency,
-    parity_expectation_ideal,
-    parity_expectation_loss,
-    parity_expectation_prep,
-)
+from .model import ImperfectionProfile, InterferometerSpec, _check_integer, parity_expectation
 
 __all__ = ["ExperimentConfig", "run_experiment", "main", "DEFAULT_EXPERIMENT_SEED"]
 
@@ -54,7 +45,15 @@ SEED_ENV_VAR = "SAGNAC_PARITY_SEED"
 # representative run (see tests/test_acceptance.py for the bands it meets).
 DEFAULT_EXPERIMENT_SEED = 2
 
-_VARIANTS = ("ideal", "prep", "loss", "efficiency", "dark", "composed")
+# curve variant -> the fields of the flags' profile its single-family fringe keeps
+_VARIANTS = {
+    "ideal": (),
+    "prep": ("eta",),
+    "loss": ("t_a", "t_b"),
+    "efficiency": ("kappa",),
+    "dark": ("dark_rate", "jitter_factor"),
+    "composed": tuple(f.name for f in fields(ImperfectionProfile)),
+}
 
 
 # --- experiment pipeline ---------------------------------------------------
@@ -107,6 +106,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"mean_photons must be > 0, got {spec.mean_photons!r}")
     if not math.isfinite(config.offset):
         raise ValueError(f"offset must be finite, got {config.offset!r}")
+    # the fit needs at least as many points as its four parameters
+    _check_integer("points", config.points, low=4)
     period = spec.fringe_period
     start = config.offset - period / 2.0
     grid = start + np.linspace(0.0, period, config.points, endpoint=False)
@@ -262,16 +263,10 @@ def _from_args(cls, args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors are JSON on stderr, exit code 2."""
+    """ArgumentParser whose usage errors raise ValueError, which main reports."""
 
     def error(self, message):
-        _fail(message)
-
-
-def _fail(message):
-    json.dump({"error": str(message)}, sys.stderr)
-    sys.stderr.write("\n")
-    raise SystemExit(2)
+        raise ValueError(message)
 
 
 def _load_config(path):
@@ -356,19 +351,12 @@ def _cmd_curve(args):
     names = [v.strip() for v in (raw.split(",") if isinstance(raw, str) else raw) if v.strip()]
     if not names:
         raise ValueError("no variants requested")
+    cols = [phi_out]
     for name in names:
         if name not in _VARIANTS:
             raise ValueError(f"unknown variant {name!r}; choose from {', '.join(_VARIANTS)}")
-
-    columns_by_name = {
-        "ideal": lambda: parity_expectation_ideal(spec, grid),
-        "prep": lambda: parity_expectation_prep(spec, grid, profile.eta),
-        "loss": lambda: parity_expectation_loss(spec, grid, profile.t_a, profile.t_b),
-        "efficiency": lambda: parity_expectation_efficiency(spec, grid, profile.kappa),
-        "dark": lambda: parity_expectation_dark(spec, grid, profile.dark_rate, profile.jitter_factor),
-        "composed": lambda: parity_expectation(spec, grid, profile),
-    }
-    cols = [phi_out] + [np.asarray(columns_by_name[name]()) for name in names]
+        kept = ImperfectionProfile(**{field: getattr(profile, field) for field in _VARIANTS[name]})
+        cols.append(parity_expectation(spec, grid, kept))
     return "curve", [phi_name] + names, zip(*(col.tolist() for col in cols))
 
 
@@ -478,25 +466,22 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    _, handler, options = _COMMANDS[args.command]
-    try:
+        args = _build_parser().parse_args(argv)
+        _, handler, options = _COMMANDS[args.command]
         _resolve(args, options)
         table = handler(args)
         if table is not None:
             with _open_output(args.output) as out:
                 _emit_table(out, args.format, *table)
         return 0
-    except (ValueError, TypeError, RuntimeError, OSError, OverflowError, json.JSONDecodeError) as exc:
-        try:
-            _fail(str(exc))
-        except SystemExit as wrapped:
-            return int(wrapped.code)
-    return 0
+    except SystemExit:
+        # --help printed its text; every usage error raised ValueError instead
+        return 0
+    except (ValueError, TypeError, RuntimeError, OSError, OverflowError) as exc:
+        json.dump({"error": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return 2
 
 
 if __name__ == "__main__":

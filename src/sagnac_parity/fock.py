@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InterferometerSpec, _check_integer
+from .model import _check_integer
 
 __all__ = [
     "TruncationError",
@@ -102,13 +102,11 @@ class JointPhotonDistribution:
     """Joint photon-number probabilities P(n, m) on the truncated lattice.
 
     ``probs[n, m]`` is the probability of n photons in port A and m in
-    port B at rotation angle ``phi``.  The captured mass may fall short of
-    one by at most one Poisson tail per mode.
+    port B.  The captured mass may fall short of one by at most one Poisson
+    tail per mode.
     """
 
     probs: np.ndarray
-    phi: float
-    spec: InterferometerSpec
     truncation: FockTruncation
 
     def __post_init__(self):
@@ -133,26 +131,12 @@ def _log_weights(ks, mean):
     return ks * math.log(mean) - gammaln(ks + 1.0)
 
 
-def _product_lattice(mu_a, mu_b, phi, spec, trunc):
-    ks = np.arange(trunc.n_max + 1, dtype=float)
-    log_a = _log_weights(ks, mu_a)
-    log_b = _log_weights(ks, mu_b)
-    with np.errstate(invalid="ignore"):
-        probs = np.exp(-(mu_a + mu_b) + log_a[:, None] + log_b[None, :])
-    # -inf + -inf -> -inf is fine, exp gives 0; nothing else can go invalid
-    return JointPhotonDistribution(probs=probs, phi=float(phi), spec=spec, truncation=trunc)
-
-
 def joint_distribution(spec, phi, trunc):
-    """Joint output distribution of the lossless interferometer.
+    """Lossless (t_a = t_b = 1) case of :func:`attenuated_joint_distribution`.
 
     P(n, m) = e^-N [N cos^2(2 ell phi)]^n [N sin^2(2 ell phi)]^m / (n! m!).
     """
-    trunc.check_valid_for(spec.mean_photons)
-    n = spec.mean_photons
-    c = math.cos(2 * spec.ell * phi)
-    s = math.sin(2 * spec.ell * phi)
-    return _product_lattice(n * c * c, n * s * s, phi, spec, trunc)
+    return attenuated_joint_distribution(spec, phi, 1.0, 1.0, trunc)
 
 
 def attenuated_joint_distribution(spec, phi, t_a, t_b, trunc):
@@ -170,7 +154,14 @@ def attenuated_joint_distribution(spec, phi, t_a, t_b, trunc):
     rot = cmath.exp(2j * spec.ell * phi)
     a_out = 0.5j * alpha * (math.sqrt(t_a) * rot + math.sqrt(t_b) / rot)
     b_out = 0.5j * alpha * (math.sqrt(t_a) * rot - math.sqrt(t_b) / rot)
-    return _product_lattice(abs(a_out) ** 2, abs(b_out) ** 2, phi, spec, trunc)
+    mu_a, mu_b = abs(a_out) ** 2, abs(b_out) ** 2
+    ks = np.arange(trunc.n_max + 1, dtype=float)
+    log_a = _log_weights(ks, mu_a)
+    log_b = _log_weights(ks, mu_b)
+    with np.errstate(invalid="ignore"):
+        probs = np.exp(-(mu_a + mu_b) + log_a[:, None] + log_b[None, :])
+    # -inf + -inf -> -inf is fine, exp gives 0; nothing else can go invalid
+    return JointPhotonDistribution(probs=probs, truncation=trunc)
 
 
 def parity_sum(dist):

@@ -78,10 +78,6 @@ def crb_sensitivity(fisher_information, trials=1):
 class QfiReport:
     """One protocol's Fisher information and the matching Cramer-Rao bound."""
 
-    protocol: QfiProtocol
-    ell: int
-    mean_photons: float
-    trials: int
     fisher_information: float
     bound: float
 
@@ -96,11 +92,4 @@ def qfi_report(protocol, ell, mean_photons, trials=1):
         f = qfi_mzi_phase_averaged(ell, mean_photons)
     else:
         raise TypeError(f"unknown protocol {protocol!r}")
-    return QfiReport(
-        protocol=protocol,
-        ell=int(ell),
-        mean_photons=float(mean_photons),
-        trials=int(trials),
-        fisher_information=f,
-        bound=crb_sensitivity(f, trials),
-    )
+    return QfiReport(fisher_information=f, bound=crb_sensitivity(f, trials))

@@ -14,7 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sagnac_parity
-from sagnac_parity import InterferometerSpec, load_fringe_data, parity_expectation_ideal
+from sagnac_parity import (
+    ImperfectionProfile,
+    InterferometerSpec,
+    load_fringe_data,
+    parity_expectation,
+    parity_expectation_dark,
+    parity_expectation_efficiency,
+    parity_expectation_ideal,
+    parity_expectation_loss,
+    parity_expectation_prep,
+)
 from sagnac_parity.cli import main
 
 
@@ -29,19 +39,35 @@ def _table(text):
     return rows[0], rows[1:]
 
 
-def test_curve_tabulates_the_ideal_fringe(capsys):
+_EVERY_FLAG = ["--eta", "0.9", "--t-a", "0.9", "--t-b", "0.6", "--kappa", "0.8", "--dark-rate", "0.05",
+               "--jitter-factor", "1.5"]
+# the single-family function each curve variant's column must equal bit for bit
+_SINGLE_FAMILY = {
+    "ideal": parity_expectation_ideal,
+    "prep": lambda spec, grid: parity_expectation_prep(spec, grid, 0.9),
+    "loss": lambda spec, grid: parity_expectation_loss(spec, grid, 0.9, 0.6),
+    "efficiency": lambda spec, grid: parity_expectation_efficiency(spec, grid, 0.8),
+    "dark": lambda spec, grid: parity_expectation_dark(spec, grid, 0.05, 1.5),
+    "composed": lambda spec, grid: parity_expectation(
+        spec, grid, ImperfectionProfile(eta=0.9, t_a=0.9, t_b=0.6, kappa=0.8, dark_rate=0.05, jitter_factor=1.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(_SINGLE_FAMILY))
+def test_curve_tabulates_each_variant(capsys, variant):
     rc, out, err = _run(
-        ["curve", "--ell", "2", "--n", "3", "--variants", "ideal", "--points", "9"], capsys
+        ["curve", "--ell", "2", "--n", "3", *_EVERY_FLAG, "--variants", variant, "--points", "9"], capsys
     )
     assert rc == 0 and err == ""
     header, rows = _table(out)
-    assert header == ["phi_rad", "ideal"]
+    assert header == ["phi_rad", variant]
     spec = InterferometerSpec(ell=2, mean_photons=3.0)
     grid = np.linspace(0.0, spec.fringe_period, 9)
     got_phi = np.array([float(r[0]) for r in rows])
     got_val = np.array([float(r[1]) for r in rows])
     np.testing.assert_array_equal(got_phi, grid)
-    np.testing.assert_array_equal(got_val, parity_expectation_ideal(spec, grid))
+    np.testing.assert_array_equal(got_val, _SINGLE_FAMILY[variant](spec, grid))
 
 
 def test_balanced_loss_and_efficiency_flags_emit_identical_tables(capsys):
@@ -219,6 +245,23 @@ def test_missing_required_option_is_a_json_error(capsys):
     assert "--ell" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curve", "--ell", "1", "--n", "2", "--points", "1"], "points must be >= 2"),
+        (["curve", "--ell", "1", "--n", "2", "--variants", ""], "no variants requested"),
+        (["metrics", "--n", "2"], "--ell is required"),
+        (["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"], "at least one point"),
+    ],
+    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep"],
+)
+def test_bad_table_inputs_are_json_errors(capsys, argv, message):
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert message in json.loads(err)["error"]
+
+
 def test_missing_config_file_is_a_json_error(tmp_path, capsys):
     rc, out, err = _run(
         ["curve", "--ell", "1", "--n", "2", "--config", str(tmp_path / "absent.json")], capsys
@@ -250,6 +293,13 @@ def test_missing_config_file_is_a_json_error(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert "error" in json.loads(err)
+
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    rc, out, err = _run(["curve", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "config file must contain a JSON object"
 
 
 def test_output_flag_writes_the_table_to_a_file(tmp_path, capsys):
@@ -329,12 +379,17 @@ def test_points_with_one_parity_do_not_pin_the_fit(tmp_path, capsys):
     assert abs(doc["derived"]["n_bar"] - 2.297) <= 5.0 * n_bar_stderr
 
 
+# the input each rejected flag's message names
+_REJECTED = {"--n": "mean_photons", "--offset": "offset", "--points": "points"}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flags", [["--n", "0"], ["--offset", "inf"]])
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--offset", "inf"], ["--points", "3"], ["--points", "1"]])
 def test_experiment_rejects_bad_inputs_before_it_scans(tmp_path, capsys, flags):
     rc, out, err = _run(["experiment", "--output-dir", str(tmp_path / "run"), *flags], capsys)
     assert rc == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+    assert len(err.splitlines()) == 1
+    assert _REJECTED[flags[0]] in json.loads(err)["error"]
     assert not (tmp_path / "run").exists()
 
 
@@ -360,6 +415,12 @@ def test_environment_variable_sets_the_default_seed(tmp_path, capsys, monkeypatc
     assert rc == 0
     doc = json.loads((tmp_path / "flag_fit.json").read_text(encoding="utf-8"))
     assert doc["config"]["seed"] == 4
+
+    monkeypatch.setenv("SAGNAC_PARITY_SEED", "1.5")
+    rc, out, err = _run(base + ["--prefix", "bad"], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "SAGNAC_PARITY_SEED must be an integer, got '1.5'"
 
 
 def test_help_exits_cleanly(capsys):

@@ -311,6 +311,20 @@ def test_load_rejects_empty_input():
         load_fringe_data(io.StringIO(""))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("phi_rad,parity_mean\n0.1,0.5\n0.2,inf\n", "non-finite"),
+        # one field past csv's default limit of 131072 characters
+        ("phi_rad,parity_mean\n0.1," + "5" * 131073 + "\n", "malformed CSV"),
+    ],
+    ids=["inf-cell", "oversized-field"],
+)
+def test_load_rejects_malformed_tables(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_fringe_data(io.StringIO(text))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_fringe_data(str(tmp_path / "absent.csv"))

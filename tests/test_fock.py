@@ -39,6 +39,20 @@ def test_truncation_rejects_a_cutoff_that_is_not_a_positive_integer(n_max):
         FockTruncation(n_max=n_max)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FockTruncation(n_max=3, tail_bound=0.0), "tail_bound must be in"),
+        (lambda: FockTruncation(n_max=3, tail_bound=1.0), "tail_bound must be in"),
+        (lambda: FockTruncation.for_mean_photons(-1.0), "mean_photons must be >= 0"),
+    ],
+    ids=["tail-0", "tail-1", "negative-mean"],
+)
+def test_truncation_rejects_out_of_range_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_truncation_rejects_uncertified_mean():
     trunc = FockTruncation.for_mean_photons(1.0)
     with pytest.raises(TruncationError):
@@ -97,10 +111,12 @@ def test_even_odd_approach_half_at_large_photon_number():
 
 
 def test_attenuated_distribution_reduces_to_lossless():
+    # joint_distribution is the t_a = t_b = 1 case itself, so compare balanced
+    # transmission t with the lossless lattice of the thinned mean t N
     spec = InterferometerSpec(ell=2, mean_photons=6.0)
     trunc = _trunc(6.0)
-    plain = joint_distribution(spec, 0.21, trunc)
-    attenuated = attenuated_joint_distribution(spec, 0.21, 1.0, 1.0, trunc)
+    plain = joint_distribution(InterferometerSpec(ell=2, mean_photons=0.49 * 6.0), 0.21, trunc)
+    attenuated = attenuated_joint_distribution(spec, 0.21, 0.49, 0.49, trunc)
     np.testing.assert_allclose(attenuated.probs, plain.probs, rtol=1e-9, atol=1e-18)
 
 
@@ -139,18 +155,19 @@ def test_distribution_periodicity():
 
 
 def test_distribution_validation_rejects_wrong_shape_and_mass():
-    spec = InterferometerSpec(ell=1, mean_photons=1.0)
     trunc = FockTruncation(n_max=1, tail_bound=1e-12)
     with pytest.raises(ValueError):
-        JointPhotonDistribution(probs=np.zeros((2, 3)), phi=0.0, spec=spec, truncation=trunc)
+        JointPhotonDistribution(probs=np.zeros((2, 3)), truncation=trunc)
     with pytest.raises(ValueError):
-        JointPhotonDistribution(probs=np.full((2, 2), 0.1), phi=0.0, spec=spec, truncation=trunc)
+        JointPhotonDistribution(probs=np.full((2, 2), 0.1), truncation=trunc)
+    # a total mass of one made of cells outside [0, 1]
+    with pytest.raises(ValueError, match="outside"):
+        JointPhotonDistribution(probs=np.array([[1.5, -0.5], [0.0, 0.0]]), truncation=trunc)
 
 
 def test_parity_sum_warns_on_missing_mass():
-    spec = InterferometerSpec(ell=1, mean_photons=1.0)
     trunc = FockTruncation(n_max=1, tail_bound=1e-12)
     probs = np.array([[1.0 - 5e-10, 0.0], [0.0, 0.0]])
-    dist = JointPhotonDistribution(probs=probs, phi=0.0, spec=spec, truncation=trunc)
+    dist = JointPhotonDistribution(probs=probs, truncation=trunc)
     with pytest.warns(UserWarning, match="misses probability mass"):
         parity_sum(dist)

@@ -231,6 +231,13 @@ def test_fringe_figures_match_the_sampled_curve(name, ell, n):
         assert factor == math.pi / width
 
 
+def test_fringe_figures_of_a_flat_fringe_with_a_floor():
+    # no amplitude: zero visibility and no width, but not an all-zero curve
+    flat = FringeModel(amplitude=0.0, decay=2.0, offset=0.0, ell=1, floor=0.3)
+    visibility, width, factor = fringe_figures(flat)
+    assert visibility == 0.0 and math.isnan(width) and math.isnan(factor)
+
+
 def test_fringe_figures_of_a_deep_fringe_match_mpmath():
     # 50-digit mpmath asin(sqrt(ln 2 / 800)); a 4097-point grid misses it by 3e-5
     _, width, factor = fringe_figures(FringeModel(amplitude=1.0, decay=800.0, offset=0.0, ell=1))
@@ -296,6 +303,12 @@ def test_fwhm_raises_when_fringe_never_reaches_half_level():
     spec = InterferometerSpec(ell=1, mean_photons=0.01)
     with pytest.raises(ValueError):
         fwhm(_dense_curve(spec, IDEAL))
+    # a curve still rising at the right end of its grid has no right-hand crossing
+    rising = ParityCurve(phi_grid=np.array([0.0, 0.5, 1.0]), values=np.array([0.2, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="right of the peak"):
+        fwhm(rising)
+    with pytest.raises(ValueError, match="floor is not below the curve maximum"):
+        fwhm(rising, floor=1.0)
 
 
 def test_fwhm_is_floor_referenced_for_prep_offset():
@@ -346,6 +359,8 @@ def test_peak_count_input_validation():
 def test_parity_curve_validation():
     with pytest.raises(ValueError):
         ParityCurve(phi_grid=np.array([0.0, 0.0, 1.0]), values=np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="matching 1-D arrays"):
+        ParityCurve(phi_grid=np.array([0.0, 0.5, 1.0]), values=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, 1.5]))
     with pytest.raises(ValueError):

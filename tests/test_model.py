@@ -5,6 +5,7 @@ import pytest
 
 from sagnac_parity import (
     FockTruncation,
+    FringeModel,
     ImperfectionProfile,
     InterferometerSpec,
     attenuated_joint_distribution,
@@ -33,6 +34,24 @@ def test_spec_rejects_bad_charge(ell):
 def test_spec_rejects_negative_mean_photons():
     with pytest.raises(ValueError):
         InterferometerSpec(ell=1, mean_photons=-0.5)
+    with pytest.raises(ValueError, match="mean_photons must be finite"):
+        InterferometerSpec(ell=1, mean_photons=math.nan)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"amplitude": -0.1}, "amplitude must be >= 0"),
+        ({"decay": -1.0}, "decay must be >= 0"),
+        ({"floor": -0.1}, "floor must be >= 0"),
+        ({"offset": math.inf}, "offset must be finite"),
+        ({"offset": math.nan}, "offset must be finite"),
+    ],
+)
+def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
+    params = dict(amplitude=0.5, decay=2.0, offset=0.0, ell=1, floor=0.1) | kwargs
+    with pytest.raises(ValueError, match=message):
+        FringeModel(**params)
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": 0.0}, {"eta": 1.2}, {"t_a": 0.0}, {"kappa": -0.1}, {"dark_rate": -1.0}, {"jitter_factor": 0.5}])

@@ -99,3 +99,7 @@ def test_report_builder_covers_all_protocols():
     avg = qfi_report(QfiProtocol.MZI_PHASE_AVERAGED, ell=2, mean_photons=5.0)
     assert avg.fisher_information == pytest.approx(4.0 * 4 * 5.0, abs=1e-8)
     assert avg.bound == pytest.approx(1.0 / math.sqrt(avg.fisher_information), rel=1e-12)
+
+    # a protocol's string value is not a QfiProtocol
+    with pytest.raises(TypeError, match="unknown protocol 'si'"):
+        qfi_report("si", ell=2, mean_photons=5.0)
