@@ -22,7 +22,6 @@ value the flag would reject, is an error.  The environment variable
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -44,6 +43,10 @@ SEED_ENV_VAR = "SAGNAC_PARITY_SEED"
 # Seeded default acquisition; chosen so the shipped configuration is a
 # representative run (see tests/test_acceptance.py for the bands it meets).
 DEFAULT_EXPERIMENT_SEED = 2
+
+# size caps, checked before any array is built: angle points and sweep rows; trials per scan point
+_MAX_POINTS = 10**6
+_MAX_TRIALS = 10**7
 
 # curve variant -> the fields of the flags' profile its single-family fringe keeps
 _VARIANTS = {
@@ -108,6 +111,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"offset must be finite, got {config.offset!r}")
     # the fit needs at least as many points as its four parameters
     _check_integer("points", config.points, low=4)
+    _check_integer("trials", config.trials_per_point)
+    _check_size("points", config.points, _MAX_POINTS)
+    _check_size("trials", config.trials_per_point, _MAX_TRIALS)
     period = spec.fringe_period
     start = config.offset - period / 2.0
     grid = start + np.linspace(0.0, period, config.points, endpoint=False)
@@ -193,10 +199,9 @@ def _jsonable(value):
 
 
 def _write_csv(stream, columns, rows):
-    # rows hold Python scalars: csv writes a float with repr and an int with str
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    # one write per table: a Python int's or float's str is the csv module's
+    # cell text (a float's str is its repr), and no header or cell needs quoting
+    stream.write("".join(",".join(map(str, row)) + "\n" for row in (columns, *rows)))
 
 
 def _emit_table(stream, fmt, name, columns, rows):
@@ -233,13 +238,14 @@ _OPTIONS = {
     "jitter_factor": dict(type=float, help="timing-jitter multiplier on the dark rate"),
     "phi_min": dict(type=float, help="grid start (default 0)"),
     "phi_max": dict(type=float, help="grid end (default one fringe period)"),
-    "points": dict(type=int, help="number of angle points"),
+    "points": dict(type=int, help=f"number of angle points, at most {_MAX_POINTS}"),
     "degrees": dict(action="store_true", help="angles in degrees, in flags and output"),
     "variants": dict(help=f"comma-separated fringe variants to tabulate, from {', '.join(_VARIANTS)}"),
     "table": dict(choices=("summary", "sensitivity"), help="which table"),
     "n_sweep": dict(type=float, nargs=3, metavar=("START", "STOP", "POINTS"),
-                    help="summary rows for a linear sweep of mean photon number"),
-    "trials": dict(type=int, help="repetitions: nu in the qfi bound, trials per experiment scan point"),
+                    help=f"summary rows for a linear sweep of mean photon number, at most {_MAX_POINTS} POINTS"),
+    "trials": dict(type=int, help=f"repetitions: nu in the qfi bound, trials per experiment scan point "
+                                  f"(at most {_MAX_TRIALS})"),
     "units": dict(type=int, help="detector units in the counting array"),
     "offset": dict(type=float, help="fringe center of the scan window"),
     "seed": dict(type=int, help=f"RNG seed; ${SEED_ENV_VAR} replaces the default"),
@@ -322,6 +328,11 @@ def _resolve(args, options):
         setattr(args, name, value)
 
 
+def _check_size(name, value, cap):
+    if value > cap:
+        raise ValueError(f"{name} must be at most {cap}, got {value}")
+
+
 def _spec_from(args):
     if args.ell is None or args.n is None:
         raise ValueError("--ell and --n are required (flag or config)")
@@ -331,6 +342,7 @@ def _spec_from(args):
 def _grid_from(args, spec):
     if args.points < 2:
         raise ValueError(f"points must be >= 2, got {args.points}")
+    _check_size("points", args.points, _MAX_POINTS)
     to_radians = math.radians if args.degrees else float
     lo = 0.0 if args.phi_min is None else to_radians(args.phi_min)
     hi = spec.fringe_period if args.phi_max is None else to_radians(args.phi_max)
@@ -377,6 +389,7 @@ def _cmd_metrics(args):
             raise ValueError(f"sweep points must be an integer, got {count!r}")
         if count < 1:
             raise ValueError("sweep needs at least one point")
+        _check_size("sweep points", int(count), _MAX_POINTS)
         ns = np.linspace(start, stop, int(count))
     elif args.n is None:
         raise ValueError("--n or --n-sweep is required")

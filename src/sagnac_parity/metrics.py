@@ -20,7 +20,9 @@ With no headroom (a + c >= 1), 1 - m = a(1 - y) >= a b u y because
 e^{bu} - 1 >= bu, and 1 + m >= 2 - a(1 - y) >= 2y; as
 (dm/dphi)^2 = 16 ell^2 a^2 b^2 u (1 - u) y^2, delta_phi >= 1/(4 ell
 sqrt(a b / 2)) everywhere, the limit at the peak u -> 0.  For the ideal
-fringe that is the shot-noise floor 1/(4 ell sqrt(N)).
+fringe that is the shot-noise floor 1/(4 ell sqrt(N)).  With headroom the
+minimum lies off the peak, where a bisection on the sign of the analytic
+slope of ln delta_phi^2 refines a grid minimum in scalar math, without scipy.
 """
 from __future__ import annotations
 
@@ -102,8 +104,19 @@ def sensitivity(spec, profile, phi):
     return _sensitivity(profile.fringe(spec), phi)
 
 
+def _log_slope(model, phi):
+    # d/dphi ln delta_phi^2 = -2 m m'/((1 - m)(1 + m)) + 4 ell b sin 2theta - 8 ell cot 2theta
+    # at theta = 2 ell (phi - phi0), with 1 - m from expm1 as in FringeModel.variance
+    ell, b, theta = model.ell, model.decay, 2.0 * model.ell * (phi - model.offset)
+    u, sin2 = math.sin(theta) ** 2, math.sin(2.0 * theta)
+    ay = model.amplitude * math.exp(-b * u)
+    m, dm = ay + model.floor, -2.0 * ell * b * ay * sin2
+    one_minus = model.headroom + model.amplitude * -math.expm1(-b * u)
+    return -2.0 * m * dm / (one_minus * (1.0 + m)) + 4.0 * ell * b * sin2 - 8.0 * ell / math.tan(2.0 * theta)
+
+
 def _min_sensitivity(model):
-    # grid scan over one period, then the closed-form floor or a Brent refinement
+    # grid scan over one period, then the closed-form floor or a slope bisection
     period = model.period
     grid = model.offset + np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
     vals = _sensitivity(model, grid)
@@ -115,23 +128,17 @@ def _min_sensitivity(model):
         # a float scan over a in [1e-6, 1], b in [1e-4, 1e3] and u in (0, 1)
         # found no ratio below 1, the least at u -> 0: the infimum is the peak
         return (float(model.offset), 1.0 / (4.0 * model.ell * math.sqrt(0.5 * model.amplitude * model.decay)))
-    # only this off-peak refinement needs scipy.optimize, the costliest
-    # import of the package, so it is loaded here and not with the module
-    from scipy.optimize import minimize_scalar
-
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
-    # search in the shift t from grid[i]: Brent's tolerance has a term
-    # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star
+    # bisect to float resolution; only midpoints are evaluated, never an end at the
+    # peak (sin 2theta = 0), and with no sign change it closes on an end of the bracket
     step = period / _GRID_POINTS
-    res = minimize_scalar(
-        lambda t: _sensitivity(model, grid[i] + t),
-        bounds=(-step, step),
-        method="bounded",
-        options={"xatol": 1e-12 * max(period, 1.0)},
-    )
-    if vals[i] < res.fun:
+    lo, hi = float(grid[i]) - step, float(grid[i]) + step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _log_slope(model, mid) < 0.0 else (lo, mid)
+    best = _sensitivity(model, mid)
+    if vals[i] < best:
         return (float(grid[i]), float(vals[i]))
-    return (float(grid[i] + res.x), float(res.fun))
+    return (mid, best)
 
 
 def min_sensitivity(spec, profile):
@@ -140,9 +147,9 @@ def min_sensitivity(spec, profile):
     With no headroom (ideal, preparation, efficiency, balanced loss) it is
     the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
     phi0, where :func:`sensitivity` is +inf.  Otherwise a grid scan and a
-    bounded Brent search find the minimum off the peak.  A fringe flat
-    everywhere (zero amplitude, e.g. under dark counts that underflow
-    exp(-2 r_eff)) returns (nan, inf).
+    bisection on the sign of the slope of delta_phi find the minimum off
+    the peak.  A fringe flat everywhere (zero amplitude, e.g. under dark
+    counts that underflow exp(-2 r_eff)) returns (nan, inf).
     """
     return _min_sensitivity(profile.fringe(spec))
 

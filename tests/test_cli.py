@@ -25,7 +25,7 @@ from sagnac_parity import (
     parity_expectation_loss,
     parity_expectation_prep,
 )
-from sagnac_parity.cli import main
+from sagnac_parity.cli import _write_csv, main
 
 
 def _run(argv, capsys):
@@ -320,6 +320,61 @@ def test_output_flag_writes_the_table_to_a_file(tmp_path, capsys):
     assert (tmp_path / "from_config.csv").read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
 
 
+def test_csv_writer_matches_the_csv_module():
+    # one write per table, byte for byte what csv.writer writes for these cells
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-07, 1e16, 5e-324, 0.1, 1.0 / 3.0, -2.5e-310,
+              1.7976931348623157e308]
+    rows = [(k, v, -k, 2**70) for k, v in enumerate(values)]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["ell", "phi_rad", "n", "trials"])
+    writer.writerows(rows)
+    got = io.StringIO()
+    _write_csv(got, ["ell", "phi_rad", "n", "trials"], iter(rows))
+    assert got.getvalue() == expected.getvalue()
+    empty = io.StringIO()
+    _write_csv(empty, ["phi_rad", "composed"], [])
+    assert empty.getvalue() == "phi_rad,composed\n"
+
+
+# each size past its cap, with the input the message names; 10**12 points
+# would be terabytes, so the refusal must come before any array is built
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curve", "--ell", "1", "--n", "2", "--points", "1000000000000"], "points must be at most 1000000"),
+        (["curve", "--ell", "1", "--n", "2", "--points", "1000001"], "points must be at most 1000000"),
+        (["metrics", "--table", "sensitivity", "--ell", "1", "--n", "2", "--points", "1000000000000"],
+         "points must be at most 1000000"),
+        (["metrics", "--ell", "1", "--n-sweep", "1", "2", "1e12"], "sweep points must be at most 1000000"),
+        (["experiment", "--trials", "1000000000000"], "trials must be at most 10000000"),
+        (["experiment", "--points", "1000000", "--trials", "10000001"], "trials must be at most 10000000"),
+        (["experiment", "--points", "1000001"], "points must be at most 1000000"),
+    ],
+    ids=["curve", "curve-past-cap", "sensitivity-table", "sweep", "experiment-trials", "experiment-trials-past-cap",
+         "experiment-points"],
+)
+def test_sizes_past_their_cap_are_json_errors(tmp_path, capsys, argv, message):
+    if argv[0] == "experiment":
+        argv = argv + ["--output-dir", str(tmp_path / "run")]
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert message in json.loads(err)["error"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_size_caps_are_stated_in_help_and_spare_the_qfi_trials(capsys):
+    for command, caps in (("curve", ["1000000"]), ("metrics", ["1000000"]), ("experiment", ["1000000", "10000000"])):
+        rc, out, _ = _run([command, "--help"], capsys)
+        assert rc == 0
+        assert all(f"at most {cap}" in out for cap in caps), command
+    # qfi's trials is the nu of a bound and allocates nothing, so it has no cap
+    rc, out, err = _run(["qfi", "--ell", "1", "--n", "2", "--trials", "1000000000000"], capsys)
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1].startswith("1,2.0,1000000000000,")
+
+
 def test_json_table_schema(capsys):
     args = [
         "curve", "--ell", "1", "--n", "2", "--points", "6",
@@ -497,13 +552,14 @@ def test_cli_import_loads_no_scipy():
     [
         (["curve", "--ell", "1", "--n", "2", "--points", "5"], "scipy"),
         (["metrics", "--ell", "1", "--n", "2.297"], "scipy"),
+        (["metrics", "--ell", "1", "--n", "2.297", "--dark-rate", "0.0253"], "scipy"),
         (["qfi", "--ell", "1", "--n", "2"], "scipy.optimize"),
     ],
-    ids=["curve", "metrics", "qfi"],
+    ids=["curve", "metrics", "metrics-off-peak", "qfi"],
 )
 def test_subcommands_load_only_the_scipy_they_run(argv, unloaded):
     # qfi's phase-averaged sum needs scipy.special through the Fock lattice;
-    # only fits and off-peak sensitivity minima need scipy.optimize
+    # only fits need scipy.optimize: an off-peak minimum is a scalar bisection
     loaded = _modules_after(f"from sagnac_parity.cli import main\nmain({argv!r})")
     assert not _loads(loaded, unloaded)
 

@@ -1,0 +1,47 @@
+"""tools/golden.py, the golden diff of CLI calls between two source trees."""
+import importlib.util
+import json
+from pathlib import Path
+
+import sagnac_parity
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+_spec = importlib.util.spec_from_file_location("golden", _SCRIPT)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+# a table, an off-peak minimum, a refusal, a size cap and an experiment's artifacts
+SUBSET = ("curve-all-l1-json", "metrics-dark", "error-curve-points-1", "cap-sweep", "experiment-small")
+
+
+def test_the_working_tree_against_itself_has_no_differences(tmp_path):
+    calls = [call for call in golden.CALLS if call["id"] in SUBSET]
+    assert len(calls) == len(SUBSET)
+    src = Path(sagnac_parity.__file__).resolve().parents[1]
+    first = golden.run_tree(src, calls, tmp_path / "first")
+    again = golden.run_tree(src, calls, tmp_path / "again")
+    assert golden.differences(first, again) == []
+    assert [first[name]["exit"] for name in SUBSET] == [0, 0, 2, 2, 0]
+    assert "sweep points must be at most" in json.loads(first["cap-sweep"]["stderr"])["error"]
+    assert set(first["experiment-small"]["files"]) == {"small_scan.csv", "small_sensitivity.csv", "small_fit.json"}
+
+    # a moved cell is named by its column or key, and only an allow naming it forgives it
+    header, row = first["metrics-dark"]["stdout"].splitlines()
+    cells = row.split(",")
+    cells[-1] = repr(float(cells[-1]) + 1e-9)
+    again["metrics-dark"]["stdout"] = f"{header}\n{','.join(cells)}\n"
+    doc = json.loads(again["experiment-small"]["files"]["small_fit.json"])
+    doc["ratio_to_snl"] *= 1.0 + 2e-16
+    again["experiment-small"]["files"]["small_fit.json"] = json.dumps(doc, indent=2).encode() + b"\n"
+    again["error-curve-points-1"]["exit"] = 1
+    diffs = golden.differences(first, again)
+    assert [d[:3] for d in diffs] == [
+        ("error-curve-points-1", "exit", None),
+        ("experiment-small", "small_fit.json", "ratio_to_snl"),
+        ("metrics-dark", "stdout", "min_sensitivity_phi_rad"),
+    ]
+    assert diffs[2][3].startswith("max abs 1e-09")
+    allow = ["metrics-*:min_sensitivity_*", "experiment-*:ratio_to_snl", "error-*"]
+    assert all(golden.allowed(d, allow) for d in diffs)
+    assert not any(golden.allowed(d, ["metrics-dark:stderr", "curve-*", "experiment-small:small_scan.csv"])
+                   for d in diffs)

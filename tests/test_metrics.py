@@ -20,7 +20,7 @@ from sagnac_parity import (
     visibility,
 )
 
-from oracles import count_fringe_peaks
+from oracles import brent_min_sensitivity, count_fringe_peaks
 
 IDEAL = ImperfectionProfile()
 ALL_FAMILIES = ImperfectionProfile(eta=0.8, t_a=0.9, t_b=0.6, kappa=0.7, dark_rate=0.05, jitter_factor=2.0)
@@ -200,6 +200,40 @@ def test_min_sensitivity_off_the_peak_matches_mpmath(profile, phi_ref, best_ref)
     assert profile.fringe(spec).headroom > 0.0
     phi_star, best = min_sensitivity(spec, profile)
     assert best == pytest.approx(best_ref, rel=4e-16, abs=0.0)
+    assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
+
+
+def test_off_peak_minimum_matches_a_brent_search_on_random_profiles():
+    # the bisection on the analytic slope against scipy's bounded Brent search
+    # on the sensitivity itself, over profiles with every family active
+    rng = np.random.default_rng(20261018)
+    for _ in range(600):
+        spec = InterferometerSpec(ell=int(rng.integers(1, 5)), mean_photons=float(rng.uniform(0.5, 60.0)))
+        profile = ImperfectionProfile(
+            eta=float(rng.uniform(0.5, 0.999)),
+            t_a=float(rng.uniform(0.5, 0.999)),
+            t_b=float(rng.uniform(0.5, 0.999)),
+            kappa=float(rng.uniform(0.3, 0.999)),
+            dark_rate=float(10.0 ** rng.uniform(-4.0, math.log10(3.0))),
+            jitter_factor=float(rng.uniform(1.0, 2.0)),
+        )
+        assert profile.fringe(spec).headroom > 0.0
+        phi_ref, best_ref = brent_min_sensitivity(profile.fringe(spec))
+        phi_star, best = min_sensitivity(spec, profile)
+        assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0), (spec, profile)
+        assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8), (spec, profile)
+
+
+def test_off_peak_minimum_within_one_grid_step_of_the_peak():
+    # at large N the minimum lies inside the first grid step, whose bracket
+    # ends exactly at the peak, where the slope's cot 2theta is infinite
+    spec = InterferometerSpec(ell=2, mean_photons=1e4)
+    profile = ImperfectionProfile(dark_rate=1e-4)
+    model = profile.fringe(spec)
+    phi_ref, best_ref = brent_min_sensitivity(model)
+    assert 0.0 < phi_ref < model.period / 1024
+    phi_star, best = min_sensitivity(spec, profile)
+    assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0)
     assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
 
 
