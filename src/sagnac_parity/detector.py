@@ -144,6 +144,8 @@ def credibility(empirical, theoretical):
     y = np.asarray(theoretical, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
         raise ValueError("histograms must be non-empty 1-D arrays")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("histogram entries must be finite")
     if np.any(x < 0) or np.any(y < 0):
         raise ValueError("histogram entries must be nonnegative")
     for name, h in (("empirical", x), ("theoretical", y)):

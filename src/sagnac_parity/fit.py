@@ -223,7 +223,8 @@ def _package(res, ell, floor):
 def error_bars(phi, trials, model):
     """Expected standard error of a parity mean: sqrt(model.variance(phi)/trials)."""
     n = np.asarray(trials)
-    if np.any(n != np.floor(n)) or np.any(n < 1):
+    # a bool, or a count that is not a finite number, is not a trial count
+    if n.dtype.kind not in "iuf" or not np.all(np.isfinite(n)) or np.any(n != np.floor(n)) or np.any(n < 1):
         raise ValueError("trials must be positive integers")
     return np.sqrt(model.variance(phi) / n)
 

@@ -7,10 +7,10 @@ truncated Fock lattice and sums observables over it term by term.  It exists
 as an independent cross-check of the closed forms in
 :mod:`sagnac_parity.model`: nothing here reuses those formulas.
 
-All weights are assembled in log space (scipy.special.gammaln for the
-factorials) so lattices up to a few hundred photons stay finite; Poisson
-tails come from scipy.special.pdtrc.  scipy.special is imported by the
-functions that use it, so importing this module costs numpy only.
+All weights are assembled in log space, log k! as the running sum of
+log 1..k, so lattices up to a few hundred photons stay finite.  One numpy
+Poisson law gives both the lattice weights and the tails that certify a
+truncation; scipy.special is their oracle in the tests, not a dependency.
 """
 from __future__ import annotations
 
@@ -32,10 +32,35 @@ __all__ = [
     "parity_sum",
 ]
 
-# Hard ceiling on the lattice size; gammaln stays accurate far beyond the
-# ~170 where a naive factorial would overflow, but a 400^2 lattice is
-# already generous for any mean photon number this library targets.
+# Hard ceiling on the lattice size; log-space weights stay finite far beyond the
+# ~170 where k! overflows, but a 400^2 lattice is already generous for any mean
+# photon number this library targets.
 N_MAX_CAP = 400
+
+
+def _log_weights(n_max, mean):
+    # k ln(mean) - ln k! for k = 0..n_max, ln k! the running sum of ln 1..k (ln 0! = 0)
+    ks = np.arange(n_max + 1, dtype=float)
+    if mean == 0.0:
+        return np.where(ks == 0.0, 0.0, -np.inf)
+    return ks * math.log(mean) - np.add.accumulate(np.log(np.maximum(ks, 1.0)))
+
+
+def _poisson_tails(mean, n_max):
+    # P(X > n) for n = 0..n_max, X ~ Poisson(mean): the pmf summed from the far end down,
+    # positive terms only, so nothing cancels.  The far end lies past the mean, its term below
+    # 1e-17 of the tail above n_max.  If 0..n_max holds under 1e-17 of the mass, every tail is 1
+    if not (math.isfinite(mean) and mean >= 0.0):
+        raise ValueError(f"mean_photons must be >= 0 and finite, got {mean!r}")
+    end = n_max + 64
+    while True:
+        pmf = np.exp(_log_weights(end, mean) - mean)
+        tails = np.add.accumulate(pmf[:0:-1])[::-1][: n_max + 1]
+        if end > mean and pmf[end] <= 1e-17 * tails[-1]:
+            return tails
+        if pmf[: n_max + 1].sum() < 1e-17:
+            return np.ones(n_max + 1)
+        end *= 2
 
 
 class TruncationError(RuntimeError):
@@ -69,32 +94,21 @@ class FockTruncation:
     @classmethod
     def for_mean_photons(cls, mean_photons, tail_bound=1e-12):
         """Smallest truncation whose Poisson(mean_photons) tail is <= tail_bound."""
-        from scipy.special import pdtrc
-
-        if mean_photons < 0:
-            raise ValueError("mean_photons must be >= 0")
-        ns = np.arange(0, N_MAX_CAP + 1)
-        tails = pdtrc(ns, mean_photons)
+        tails = _poisson_tails(mean_photons, N_MAX_CAP)
         ok = np.flatnonzero(tails <= tail_bound)
         if ok.size == 0:
-            raise TruncationError(
-                f"no n_max <= {N_MAX_CAP} reaches tail {tail_bound:g} for mean "
-                f"{mean_photons:g}; best achievable is {tails[-1]:g}",
-                achievable_tail=float(tails[-1]),
-            )
+            raise TruncationError(f"no n_max <= {N_MAX_CAP} reaches tail {tail_bound:g} for mean "
+                                  f"{mean_photons:g}; best achievable is {tails[-1]:g}",
+                                  achievable_tail=float(tails[-1]))
         return cls(n_max=max(int(ok[0]), 1), tail_bound=tail_bound)
 
     def check_valid_for(self, mean_photons):
         """Raise if this truncation does not certify the given mean."""
-        from scipy.special import pdtrc
-
-        tail = float(pdtrc(self.n_max, mean_photons))
+        tail = float(_poisson_tails(mean_photons, self.n_max)[-1])
         if tail > self.tail_bound:
-            raise TruncationError(
-                f"truncation n_max={self.n_max} leaves tail {tail:g} > "
-                f"{self.tail_bound:g} for mean {mean_photons:g}",
-                achievable_tail=tail,
-            )
+            raise TruncationError(f"truncation n_max={self.n_max} leaves tail {tail:g} > "
+                                  f"{self.tail_bound:g} for mean {mean_photons:g}",
+                                  achievable_tail=tail)
 
 
 @dataclass(frozen=True)
@@ -118,17 +132,6 @@ class JointPhotonDistribution:
         total = float(p.sum())
         if not (1.0 - 2.0 * self.truncation.tail_bound - 1e-9 <= total <= 1.0 + 1e-9):
             raise ValueError(f"captured mass {total!r} inconsistent with tail bound")
-
-
-def _log_weights(ks, mean):
-    # k*ln(mean) - ln(k!) with the mean == 0 case pinned to a point mass at k = 0
-    from scipy.special import gammaln
-
-    if mean == 0.0:
-        w = np.full(ks.shape, -np.inf)
-        w[0] = 0.0
-        return w
-    return ks * math.log(mean) - gammaln(ks + 1.0)
 
 
 def joint_distribution(spec, phi, trunc):
@@ -155,12 +158,9 @@ def attenuated_joint_distribution(spec, phi, t_a, t_b, trunc):
     a_out = 0.5j * alpha * (math.sqrt(t_a) * rot + math.sqrt(t_b) / rot)
     b_out = 0.5j * alpha * (math.sqrt(t_a) * rot - math.sqrt(t_b) / rot)
     mu_a, mu_b = abs(a_out) ** 2, abs(b_out) ** 2
-    ks = np.arange(trunc.n_max + 1, dtype=float)
-    log_a = _log_weights(ks, mu_a)
-    log_b = _log_weights(ks, mu_b)
-    with np.errstate(invalid="ignore"):
-        probs = np.exp(-(mu_a + mu_b) + log_a[:, None] + log_b[None, :])
-    # -inf + -inf -> -inf is fine, exp gives 0; nothing else can go invalid
+    log_a = _log_weights(trunc.n_max, mu_a)
+    log_b = _log_weights(trunc.n_max, mu_b)
+    probs = np.exp(-(mu_a + mu_b) + log_a[:, None] + log_b[None, :])
     return JointPhotonDistribution(probs=probs, truncation=trunc)
 
 

@@ -60,13 +60,15 @@ def qfi_mzi_phase_averaged(ell, mean_photons, trunc=None):
     else:
         trunc.check_valid_for(mean_photons)
     ns = np.arange(trunc.n_max + 1)
-    p = np.exp(_log_weights(ns, mean_photons) - mean_photons)
+    p = np.exp(_log_weights(trunc.n_max, mean_photons) - mean_photons)
     return 4.0 * ell * ell * float(np.dot(p, ns))
 
 
 def crb_sensitivity(fisher_information, trials=1):
     """Cramer-Rao bound 1/sqrt(trials * F); zero information diverges to +inf."""
     _check_integer("trials", trials)
+    if not math.isfinite(fisher_information):
+        raise ValueError(f"Fisher information must be finite, got {fisher_information!r}")
     if fisher_information < 0:
         raise ValueError("Fisher information cannot be negative")
     if fisher_information == 0:

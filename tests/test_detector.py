@@ -213,6 +213,9 @@ def test_credibility_input_validation():
         credibility([-0.1, 1.1], [0.5, 0.5])
     with pytest.raises(ValueError):
         credibility([], [1.0])
+    # NaN fails the normalization test silently, since every comparison with it is False
+    with pytest.raises(ValueError, match="finite"):
+        credibility([math.nan, 1.0], [0.5, 0.5])
 
 
 def test_counting_histogram_is_credible_against_poisson():

@@ -153,8 +153,9 @@ def test_error_bars_values():
 
 
 def test_error_bars_rejects_bad_trials():
-    for trials in (0, -1, 2.5):
-        with pytest.raises(ValueError):
+    # bool and non-finite counts too, scalar or array
+    for trials in (0, -1, 2.5, True, [True, True], math.inf, math.nan, [100, math.inf]):
+        with pytest.raises(ValueError, match="trials must be positive integers"):
             error_bars(0.1, trials, REFERENCE)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln, pdtrc
 
 from sagnac_parity import (
     FockTruncation,
@@ -13,6 +14,7 @@ from sagnac_parity import (
     joint_distribution,
     parity_sum,
 )
+from sagnac_parity.fock import N_MAX_CAP, _log_weights, _poisson_tails
 
 
 def _trunc(n):
@@ -51,6 +53,63 @@ def test_truncation_rejects_a_cutoff_that_is_not_a_positive_integer(n_max):
 def test_truncation_rejects_out_of_range_inputs(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_poisson_tails_match_scipy_pdtrc():
+    # scipy.special is the oracle of the numpy tail: relatively wherever scipy's
+    # tail is above 1e-300 (worst seen 2.4e-12), and as negligible where it is not.
+    # Means past the cap cover the lattice that holds almost none of the mass
+    ns = np.arange(N_MAX_CAP + 1)
+    means = np.concatenate((np.linspace(0.0, 350.0, 2001), np.geomspace(1e-9, 1.0, 10),
+                            np.geomspace(350.0, 1e6, 9), [1e300]))
+    for mean in means:
+        got, want = _poisson_tails(mean, N_MAX_CAP), pdtrc(ns, mean)
+        far = want > 1e-300
+        np.testing.assert_allclose(got[far], want[far], rtol=1e-11, atol=0.0, err_msg=f"mean {mean!r}")
+        assert np.all(got[~far] <= 2e-300), mean
+        assert np.all(np.diff(got) <= 0.0), mean
+
+
+def test_log_weights_match_scipy_gammaln():
+    # at mean 1 the weights are -ln k!, the running sum of ln 1..k (worst seen 1.4e-15).
+    # An absolute error in a log weight is the relative error of its Poisson term (worst seen 2.3e-12)
+    ks = np.arange(N_MAX_CAP + 1, dtype=float)
+    np.testing.assert_allclose(-_log_weights(N_MAX_CAP, 1.0), gammaln(ks + 1.0), rtol=4e-15, atol=0.0)
+    for mean in (0.01, 2.297, 57.0, 350.0):
+        want = ks * math.log(mean) - gammaln(ks + 1.0)
+        np.testing.assert_allclose(_log_weights(N_MAX_CAP, mean), want, rtol=0.0, atol=1e-11)
+    assert np.array_equal(_log_weights(3, 0.0), [0.0, -np.inf, -np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("tail_bound", [1e-6, 1e-9, 1e-12, 1e-13])
+def test_truncation_picks_the_cutoff_that_scipy_pdtrc_picks(tail_bound):
+    ns = np.arange(N_MAX_CAP + 1)
+    for mean in np.linspace(0.0, 350.0, 2001):
+        ok = np.flatnonzero(pdtrc(ns, mean) <= tail_bound)
+        if ok.size == 0:
+            with pytest.raises(TruncationError):
+                FockTruncation.for_mean_photons(mean, tail_bound)
+            continue
+        trunc = FockTruncation.for_mean_photons(mean, tail_bound)
+        assert trunc.n_max == max(int(ok[0]), 1), mean
+        trunc.check_valid_for(mean)
+
+
+def test_truncation_error_at_the_cap_reports_the_deepest_tail():
+    # the tail beyond the cap at mean 300, printed by a refused `qfi --n 300`
+    with pytest.raises(TruncationError, match=r"best achievable is 1\.63944e-08$") as exc:
+        FockTruncation.for_mean_photons(300.0)
+    assert exc.value.achievable_tail == pytest.approx(pdtrc(N_MAX_CAP, 300.0), rel=1e-11)
+    with pytest.raises(TruncationError, match="best achievable is 1$"):
+        FockTruncation.for_mean_photons(1e9)
+
+
+@pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_truncation_rejects_a_mean_that_is_negative_or_not_finite(mean):
+    with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
+        FockTruncation.for_mean_photons(mean)
+    with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
+        FockTruncation(n_max=20).check_valid_for(mean)
 
 
 def test_truncation_rejects_uncertified_mean():

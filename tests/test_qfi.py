@@ -87,6 +87,12 @@ def test_crb_sensitivity_rejects_negative_information():
         crb_sensitivity(-1.0)
 
 
+@pytest.mark.parametrize("information", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_crb_sensitivity_rejects_non_finite_information(information):
+    with pytest.raises(ValueError, match="Fisher information must be finite"):
+        crb_sensitivity(information)
+
+
 def test_report_builder_covers_all_protocols():
     si = qfi_report(QfiProtocol.SI, ell=2, mean_photons=5.0, trials=100)
     assert isinstance(si, QfiReport)

@@ -169,7 +169,9 @@ def _error_calls():
 
 
 def _cap_calls():
-    # sizes far past any cap: without one they end in numpy's allocator
+    # sizes far past any cap: without one they end in numpy's allocator.  Then
+    # qfi at the Fock truncation's cap of 400 photons: mean 250 still certifies
+    # its tail (at 369 photons), mean 300 is refused with the tail the cap reached
     fringe = ["--ell", "1", "--n", "2"]
     return [
         _call("cap-curve-points", "curve", *fringe, "--points", "1000000000000"),
@@ -177,6 +179,8 @@ def _cap_calls():
         _call("cap-sweep", "metrics", "--ell", "1", "--n-sweep", "1", "2", "1e12"),
         _call("cap-experiment-trials", "experiment", "--points", "12", "--trials", "1000000000000"),
         _call("cap-experiment-points", "experiment", "--points", "1000000000000"),
+        _call("cap-qfi-n-250", "qfi", "--ell", "1", "--n", "250"),
+        _call("cap-qfi-n-300", "qfi", "--ell", "1", "--n", "300"),
     ]
 
 
