@@ -8,17 +8,23 @@ p = 1 - (1 - r_eff/M) exp(-kappa mu/M); the click count is exactly
 Binomial(M, p) at any M, with parity (1 - 2p)^M.  Saturation (two photons,
 one click) is built in: finite M can only undercount the light.
 
+A readout's parity is (-1)^count, so T readouts are summed up by the number k
+of odd counts: the parity mean is (T - 2k)/T and its sample standard error
+2 sqrt(k (T - k)/(T - 1))/T (0 at T = 1).  `simulate` returns the counts and
+their histogram too; a `scan` point keeps only its odd count.
+
 Runs are reproducible: each simulation consumes a single PCG64 stream keyed
 by the model seed, and a scan derives an independent per-point seed from
 (seed, grid index).  A scan runs its grid points concurrently on a thread
 pool, one thread per usable CPU (numpy releases the GIL while it draws), and
-its rows do not depend on the number of threads or the order points finish.
+its rows do not depend on the number of threads or the order points finish;
+each row is the parity mean and stderr that `simulate` gives for its seed.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,25 +82,35 @@ class DetectorRun:
     empirical_dist: np.ndarray
 
 
+def _draw(spec, phi, model, seed, trials):
+    # the click counts of `trials` readouts, Binomial(M, p) i.i.d., from the PCG64 stream of `seed`
+    mu = float(dark_port_mean(spec, phi))
+    q = model.effective_dark_rate / model.units
+    x = model.kappa * mu / model.units
+    # p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
+    p = -math.expm1(-x) + q * math.exp(-x)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    return rng.binomial(model.units, p, trials)
+
+
+def _parity_estimate(counts):
+    # (mean, stderr) of the parities (-1)^count from the number k of odd counts alone: the T
+    # values are +-1, so the mean is (T - 2k)/T and the sample stderr 2 sqrt(k (T - k)/(T - 1))/T.
+    # T - 2k and k (T - k) are exact integers, so the mean is correctly rounded
+    trials = counts.size
+    odd = int(np.count_nonzero(counts & 1))
+    stderr = 2.0 * math.sqrt(odd * (trials - odd) / (trials - 1)) / trials if trials > 1 else 0.0
+    return (trials - 2 * odd) / trials, stderr
+
+
 def simulate(spec, phi, model, trials):
     """Simulate `trials` parity readouts at rotation angle `phi`.
 
     Returns a DetectorRun; bit-identical for identical arguments.
     """
     _check_integer("trials", trials)
-    mu = float(dark_port_mean(spec, phi))
-    q = model.effective_dark_rate / model.units
-    x = model.kappa * mu / model.units
-    # p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
-    p = -math.expm1(-x) + q * math.exp(-x)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(model.seed))))
-    counts = rng.binomial(model.units, p, trials)
-    parity = 1.0 - 2.0 * (counts & 1)
-    mean = float(parity.mean())
-    if trials > 1:
-        stderr = float(parity.std(ddof=1) / math.sqrt(trials))
-    else:
-        stderr = 0.0
+    counts = _draw(spec, phi, model, model.seed, trials)
+    mean, stderr = _parity_estimate(counts)
     return DetectorRun(
         trials=int(trials),
         counts=counts,
@@ -119,14 +135,16 @@ def scan(spec, model, phi_grid, trials_per_point):
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    _check_integer("trials", trials_per_point)
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or phi_grid.size == 0:
         raise ValueError("phi_grid must be a non-empty 1-D array")
 
     def point(indexed):
+        # the draw and estimate of simulate, without its histogram
         i, phi = indexed
-        run = simulate(spec, float(phi), replace(model, seed=_point_seed(model.seed, i)), trials_per_point)
-        return float(phi), run.parity_mean, run.parity_stderr
+        counts = _draw(spec, float(phi), model, _point_seed(model.seed, i), trials_per_point)
+        return (float(phi), *_parity_estimate(counts))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=min(phi_grid.size, cpus)) as pool:

@@ -15,6 +15,7 @@ truncation; scipy.special is their oracle in the tests, not a dependency.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,6 +64,14 @@ def _poisson_tails(mean, n_max):
         end *= 2
 
 
+@functools.lru_cache(maxsize=64)
+def _tail_beyond(mean, n_max):
+    # P(X > n_max), X ~ Poisson(mean), once per (mean, n_max): a cross-check certifies one
+    # truncation for one mean on every lattice it builds.  A bad mean raises, and lru_cache
+    # stores no exception, so it raises on every call
+    return float(_poisson_tails(mean, n_max)[-1])
+
+
 class TruncationError(RuntimeError):
     """Raised when no lattice within the cap meets the requested tail bound.
 
@@ -104,7 +113,7 @@ class FockTruncation:
 
     def check_valid_for(self, mean_photons):
         """Raise if this truncation does not certify the given mean."""
-        tail = float(_poisson_tails(mean_photons, self.n_max)[-1])
+        tail = _tail_beyond(mean_photons, self.n_max)
         if tail > self.tail_bound:
             raise TruncationError(f"truncation n_max={self.n_max} leaves tail {tail:g} > "
                                   f"{self.tail_bound:g} for mean {mean_photons:g}",

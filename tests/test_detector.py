@@ -2,12 +2,13 @@ import math
 import os
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 from sagnac_parity import DetectorModel, InterferometerSpec, credibility, scan, simulate
-from sagnac_parity.detector import _point_seed
+from sagnac_parity.detector import _parity_estimate, _point_seed
 from sagnac_parity.model import dark_port_mean
 
 
@@ -114,6 +115,35 @@ def test_parity_estimator_is_unbiased_across_seeds():
     grand = float(np.mean(means))
     tol = 4.0 * _stderr_bound(expected, trials * reps)
     assert abs(grand - expected) < tol
+
+
+def _estimator_cases():
+    # 200 seeded count arrays, T log-uniform in [1, 2e5] and odd fractions from 0 to 1,
+    # then the edges: all even, all odd, a single odd readout, T = 1 and T = 2
+    rng = np.random.default_rng(1500)
+    cases = []
+    for _ in range(200):
+        trials = int(round(10.0 ** rng.uniform(0.0, math.log10(2e5))))
+        cases.append(rng.binomial(64, rng.uniform(0.0, 1.0), trials))
+    cases += [np.full(1000, 4), np.full(999, 3), np.eye(1, 5000, 1234, dtype=np.int64)[0]]
+    cases += [np.array([c]) for c in (0, 1)] + [np.array(c) for c in ((0, 2), (1, 0), (3, 5))]
+    return cases
+
+
+def test_parity_estimate_matches_the_sample_mean_and_an_exact_stderr():
+    for counts in _estimator_cases():
+        trials = counts.size
+        mean, stderr = _parity_estimate(counts)
+        parity = 1.0 - 2.0 * (counts & 1)
+        assert mean == parity.mean(), trials
+        if trials == 1:
+            assert stderr == 0.0
+            continue
+        odd = int(np.count_nonzero(counts & 1))
+        with mpmath.workprec(200):
+            exact = 2 * mpmath.sqrt(mpmath.mpf(odd * (trials - odd)) / (trials - 1)) / trials
+            assert abs(mpmath.mpf(stderr) - exact) <= 2 * math.ulp(float(exact)), (trials, odd)
+        assert abs(stderr - parity.std(ddof=1) / math.sqrt(trials)) <= 4 * math.ulp(stderr), (trials, odd)
 
 
 def test_model_validation():

@@ -118,6 +118,21 @@ def test_truncation_rejects_uncertified_mean():
         trunc.check_valid_for(50.0)
 
 
+def test_a_certified_tail_does_not_certify_a_later_call():
+    # check_valid_for remembers each (mean, n_max) tail: a certified call must not
+    # let a later call on the same truncation pass with a larger mean, a tighter
+    # bound on the same n_max, or a NaN mean
+    trunc = FockTruncation.for_mean_photons(1.0)
+    for _ in range(2):
+        trunc.check_valid_for(1.0)
+        with pytest.raises(TruncationError):
+            trunc.check_valid_for(50.0)
+        with pytest.raises(TruncationError):
+            FockTruncation(trunc.n_max, tail_bound=trunc.tail_bound / 1e3).check_valid_for(1.0)
+        with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
+            trunc.check_valid_for(math.nan)
+
+
 def test_joint_distribution_normalizes():
     spec = InterferometerSpec(ell=2, mean_photons=5.0)
     dist = joint_distribution(spec, 0.3, _trunc(5.0))

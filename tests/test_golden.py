@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import sagnac_parity
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
@@ -45,3 +47,28 @@ def test_the_working_tree_against_itself_has_no_differences(tmp_path):
     assert all(golden.allowed(d, allow) for d in diffs)
     assert not any(golden.allowed(d, ["metrics-dark:stderr", "curve-*", "experiment-small:small_scan.csv"])
                    for d in diffs)
+
+
+def test_a_relative_bound_forgives_only_numbers_that_moved_within_it():
+    def result(exit_code, x, y, note):
+        doc = json.dumps({"x": x, "note": note}).encode()
+        return {"job": {"exit": exit_code, "stdout": f"y\n{y!r}\n", "stderr": "", "files": {"fit.json": doc}}}
+
+    y = 0.7022
+    diffs = golden.differences(result(0, 0.3, y, "a"), result(1, 0.3 * (1 + 1e-9), y * (1 + 2e-16), "b"))
+    assert [d[:3] for d in diffs] == [("job", "exit", None), ("job", "fit.json", "note"),
+                                      ("job", "fit.json", "x"), ("job", "stdout", "y")]
+    moved_exit, moved_note, moved_x, moved_y = diffs
+    assert 1e-16 < moved_y[4] <= 2.3e-16 and 0.9e-9 < moved_x[4] < 1.1e-9
+    assert moved_exit[4] is None and moved_note[4] is None
+    assert golden.allowed(moved_y, ["job:*~1e-12"])
+    assert not golden.allowed(moved_x, ["job:*~1e-12"]) and golden.allowed(moved_x, ["job:x~1e-8"])
+    assert not any(golden.allowed(d, ["job~1e300", "job:*~1e300", "job:exit~1e300"]) for d in (moved_exit, moved_note))
+    assert golden.allowed(moved_exit, ["job:exit"]) and golden.allowed(moved_note, ["job"])
+
+
+def test_a_relative_bound_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        golden.main(["--parent", "HEAD", "--allow", "experiment-*:*~tiny"])
+    assert exc.value.code == 2
+    assert "the REL of 'experiment-*:*~tiny' is not a number" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Golden diff: run a fixed list of CLI calls under two source trees and compare.
 
-    python tools/golden.py --parent REV [--allow CALL[:FIELD] ...]
+    python tools/golden.py --parent REV [--allow CALL[:FIELD][~REL] ...]
 
 Run from anywhere inside the repository.  The parent tree is ``git archive
 REV`` unpacked into a temporary directory; the change is the working tree
@@ -19,8 +19,11 @@ the largest relative change of its numbers, so a difference prints as
 ``--allow CALL[:FIELD]`` forgives the differences of the calls whose id
 matches the glob CALL; with FIELD, only those in a column, key (dotted,
 e.g. ``min_sensitivity.value_rad``), file name or one of ``exit``,
-``stdout`` and ``stderr`` matching the glob FIELD.  Deliberate differences
-are named per change on the command line, never in this file.
+``stdout`` and ``stderr`` matching the glob FIELD.  A trailing ``~REL``,
+e.g. ``'experiment-*:*~1e-12'``, forgives only a column or key of numbers
+whose largest relative change is at most REL; an exit code, a text or an
+output that does not parse alike is never within it.  Deliberate
+differences are named per change on the command line, never in this file.
 
 Exit status: 0 when every difference is allowed, 1 when one is not, 2 on a
 usage error or when ``git archive REV`` fails.
@@ -256,17 +259,17 @@ def run_tree(src, calls, workdir):
 
 
 def _numbers_differ(a, b):
-    # "max abs A, max rel R" over the differing numeric cells, or "" if a cell is not a number
+    # ("max abs A, max rel R", R) over the differing numeric cells, or ("", None) if a cell is not a number
     worst_abs = worst_rel = 0.0
     for x, y in zip(a, b):
         try:
             x, y = float(x), float(y)
         except (TypeError, ValueError):
-            return ""
+            return "", None
         if not (x == y or (math.isnan(x) and math.isnan(y))):
             gap = abs(x - y) if math.isfinite(x - y) else math.inf
             worst_abs, worst_rel = max(worst_abs, gap), max(worst_rel, gap / abs(x) if x else math.inf)
-    return f"max abs {worst_abs:.2g}, max rel {worst_rel:.2g}"
+    return f"max abs {worst_abs:.2g}, max rel {worst_rel:.2g}", worst_rel
 
 
 def _leaves(doc, path=""):
@@ -299,45 +302,63 @@ def _columns(text):
 
 
 def _field_differences(parent, change):
-    # [(field, detail)] of two differing texts, broken down by column or key where both parse alike
+    # [(field, detail, max rel)] of two differing texts, by column or key where both parse alike
     a, b = _columns(parent), _columns(change)
     if a is None or b is None or a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
         digests = [hashlib.sha256(t.encode("utf-8", "surrogateescape")).hexdigest()[:12] for t in (parent, change)]
-        return [(None, f"sha256 {digests[0]} -> {digests[1]}")]
-    return [(field, _numbers_differ(a[field], b[field])) for field in a if a[field] != b[field]]
+        return [(None, f"sha256 {digests[0]} -> {digests[1]}", None)]
+    return [(field, *_numbers_differ(a[field], b[field])) for field in a if a[field] != b[field]]
 
 
 def differences(parent, change):
-    """[(call id, where, field, detail)] for every way `change` differs from `parent`.
+    """[(call id, where, field, detail, max rel)] for every way `change` differs from `parent`.
 
     `where` is exit, stdout, stderr or a file name; `field` is a column or
-    dotted JSON key of a CSV or JSON output, or None for the whole output.
+    dotted JSON key of a CSV or JSON output, or None for the whole output;
+    `max rel` is the largest relative change of a field of numbers, else None.
     """
     out = []
     for call_id in parent.keys() | change.keys():
         p, c = parent.get(call_id), change.get(call_id)
         if p is None or c is None:
-            out.append((call_id, "call", None, "run on one side only"))
+            out.append((call_id, "call", None, "run on one side only", None))
             continue
         if p["exit"] != c["exit"]:
-            out.append((call_id, "exit", None, f"{p['exit']} -> {c['exit']}"))
+            out.append((call_id, "exit", None, f"{p['exit']} -> {c['exit']}", None))
         texts = {"stdout": (p["stdout"], c["stdout"]), "stderr": (p["stderr"], c["stderr"])}
         for name in p["files"].keys() | c["files"].keys():
             if name not in p["files"] or name not in c["files"]:
-                out.append((call_id, name, None, "written on one side only"))
+                out.append((call_id, name, None, "written on one side only", None))
             else:
                 texts[name] = tuple(side["files"][name].decode("utf-8", "surrogateescape") for side in (p, c))
         for where, (a, b) in texts.items():
             if a != b:
-                out += [(call_id, where, field, detail) for field, detail in _field_differences(a, b)]
+                out += [(call_id, where, *diff) for diff in _field_differences(a, b)]
     return sorted(out, key=lambda d: (d[0], d[1], d[2] or ""))
 
 
+def _split_bound(pattern):
+    # "CALL[:FIELD]~REL" -> ("CALL[:FIELD]", REL), "CALL[:FIELD]" -> (itself, None); ValueError on a bad REL
+    head, tilde, rel = pattern.rpartition("~")
+    return (head, float(rel)) if tilde else (pattern, None)
+
+
+def _allow_pattern(text):
+    try:
+        _split_bound(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"the REL of {text!r} is not a number") from None
+    return text
+
+
 def allowed(difference, patterns):
-    """Whether a difference matches one of the CALL[:FIELD] glob patterns."""
-    call_id, where, field, _ = difference
+    """Whether a difference matches one of the CALL[:FIELD][~REL] glob patterns."""
+    call_id, where, field, _, rel = difference
     for pattern in patterns:
+        pattern, bound = _split_bound(pattern)
         call_glob, _, field_glob = pattern.partition(":")
+        if bound is not None and not (rel is not None and rel <= bound):
+            continue
         if fnmatch.fnmatchcase(call_id, call_glob) and (
             not field_glob or any(fnmatch.fnmatchcase(x, field_glob) for x in (where, field) if x is not None)
         ):
@@ -358,8 +379,10 @@ def _export(rev, dest):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
-    parser.add_argument("--allow", action="append", default=[], metavar="CALL[:FIELD]",
-                        help="forgive differences of calls matching the glob CALL, in FIELD only when given")
+    parser.add_argument("--allow", action="append", default=[], metavar="CALL[:FIELD][~REL]",
+                        type=_allow_pattern,
+                        help="forgive differences of calls matching the glob CALL, in FIELD only when given, "
+                             "and with ~REL only numbers whose largest relative change is at most REL")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         tmp = Path(tmp)
@@ -374,7 +397,7 @@ def main(argv=None):
     for diff in diffs:
         ok = allowed(diff, args.allow)
         refused += not ok
-        call_id, where, field, detail = diff
+        call_id, where, field, detail, _ = diff
         print(f"{'allowed' if ok else 'DIFF':8} {call_id}  {where}  {field or '-'}  {detail}".rstrip())
     files = sum(len(r["files"]) for r in change.values())
     print(f"{len(CALLS)} calls, {files} files: {len(diffs)} differences, {len(diffs) - refused} allowed, "
