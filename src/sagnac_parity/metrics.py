@@ -21,8 +21,10 @@ e^{bu} - 1 >= bu, and 1 + m >= 2 - a(1 - y) >= 2y; as
 (dm/dphi)^2 = 16 ell^2 a^2 b^2 u (1 - u) y^2, delta_phi >= 1/(4 ell
 sqrt(a b / 2)) everywhere, the limit at the peak u -> 0.  For the ideal
 fringe that is the shot-noise floor 1/(4 ell sqrt(N)).  With headroom the
-minimum lies off the peak, where a bisection on the sign of the analytic
-slope of ln delta_phi^2 refines a grid minimum in scalar math, without scipy.
+minimum lies off the peak.  delta_phi^2 depends on phi only through u, and
+one bisection on the sign of d/du ln delta_phi^2 over u in (0, 1) finds it
+in scalar math, without scipy; phi_star = phi0 + asin(sqrt(u*))/(2 ell) is
+the twin right of the peak, phi0 < phi_star < phi0 + period/2.
 """
 from __future__ import annotations
 
@@ -42,9 +44,6 @@ __all__ = [
     "fwhm",
     "fringe_figures",
 ]
-
-# grid points of the scan that brackets the off-peak sensitivity minimum
-_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -104,41 +103,37 @@ def sensitivity(spec, profile, phi):
     return _sensitivity(profile.fringe(spec), phi)
 
 
-def _log_slope(model, phi):
-    # d/dphi ln delta_phi^2 = -2 m m'/((1 - m)(1 + m)) + 4 ell b sin 2theta - 8 ell cot 2theta
-    # at theta = 2 ell (phi - phi0), with 1 - m from expm1 as in FringeModel.variance
-    ell, b, theta = model.ell, model.decay, 2.0 * model.ell * (phi - model.offset)
-    u, sin2 = math.sin(theta) ** 2, math.sin(2.0 * theta)
-    ay = model.amplitude * math.exp(-b * u)
-    m, dm = ay + model.floor, -2.0 * ell * b * ay * sin2
-    one_minus = model.headroom + model.amplitude * -math.expm1(-b * u)
-    return -2.0 * m * dm / (one_minus * (1.0 + m)) + 4.0 * ell * b * sin2 - 8.0 * ell / math.tan(2.0 * theta)
-
-
 def _min_sensitivity(model):
-    # grid scan over one period, then the closed-form floor or a slope bisection
-    period = model.period
-    grid = model.offset + np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
-    vals = _sensitivity(model, grid)
-    finite = np.isfinite(vals)
-    if not finite.any():
+    # the closed-form floor at the peak, or a bisection in u = sin^2(2 ell (phi - phi0))
+    a, b, c, ell = model.amplitude, model.decay, model.floor, model.ell
+    if a == 0.0 or b == 0.0:
         return (math.nan, math.inf)
     if model.headroom == 0.0:
         # delta_phi >= 1/(4 ell sqrt(a b / 2)) (proof in the module docstring);
         # a float scan over a in [1e-6, 1], b in [1e-4, 1e3] and u in (0, 1)
-        # found no ratio below 1, the least at u -> 0: the infimum is the peak
-        return (float(model.offset), 1.0 / (4.0 * model.ell * math.sqrt(0.5 * model.amplitude * model.decay)))
-    i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
-    # bisect to float resolution; only midpoints are evaluated, never an end at the
-    # peak (sin 2theta = 0), and with no sign change it closes on an end of the bracket
-    step = period / _GRID_POINTS
-    lo, hi = float(grid[i]) - step, float(grid[i]) + step
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if _log_slope(model, mid) < 0.0 else (lo, mid)
-    best = _sensitivity(model, mid)
-    if vals[i] < best:
-        return (float(grid[i]), float(vals[i]))
-    return (mid, best)
+        # found no ratio below 1, the least at u -> 0: the infimum is the peak.
+        # A subnormal a b / 2 (below 2^-1022) is scaled by an exact 2^1200 before its root
+        half_ab, scale = 0.5 * b * a, 1.0
+        if half_ab < 2.0**-1022:
+            half_ab, scale = 0.5 * math.ldexp(a, 600) * math.ldexp(b, 600), 2.0**600
+        phi, best = float(model.offset), scale / (4.0 * ell * math.sqrt(half_ab))
+    else:
+        # d/du ln delta_phi^2 = 2b (m - c) m / ((1 - m)(1 + m)) + 2b - 1/u + 1/(1 - u),
+        # 1 - m from expm1 as in FringeModel.variance, runs from -inf at u -> 0 to
+        # +inf at u -> 1 with one sign change, at u <= 1/2 as its other terms are
+        # positive.  Bisect its sign, taken times u so that a root near 1/(2b) at
+        # huge b does not overflow, and take the twin right of the peak
+        lo, hi = 0.0, 1.0
+        while lo < (u := 0.5 * (lo + hi)) < hi:
+            ay = a * math.exp(-b * u)
+            m, one_minus = ay + c, model.headroom - a * math.expm1(-b * u)
+            slope_u = 2.0 * b * u * (ay * m / (one_minus * (1.0 + m)) + 1.0) - 1.0 + u / (1.0 - u)
+            lo, hi = (u, hi) if slope_u < 0.0 else (lo, u)
+        phi = model.offset + math.asin(math.sqrt(u)) / (2.0 * ell)
+        best = _sensitivity(model, phi)
+    # a minimum that overflows (a subnormal amplitude or decay) or reads 0 (the
+    # derivative overflows once 2 ell b > 1.8e308) is no working point
+    return (phi, best) if 0.0 < best < math.inf else (math.nan, math.inf)
 
 
 def min_sensitivity(spec, profile):
@@ -146,10 +141,13 @@ def min_sensitivity(spec, profile):
 
     With no headroom (ideal, preparation, efficiency, balanced loss) it is
     the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
-    phi0, where :func:`sensitivity` is +inf.  Otherwise a grid scan and a
-    bisection on the sign of the slope of delta_phi find the minimum off
-    the peak.  A fringe flat everywhere (zero amplitude, e.g. under dark
-    counts that underflow exp(-2 r_eff)) returns (nan, inf).
+    phi0, where :func:`sensitivity` is +inf.  Otherwise a bisection in
+    u = sin^2(2 ell (phi - phi0)) on the sign of the slope of delta_phi
+    finds the minimum off the peak, on the twin right of it:
+    phi0 < phi_star < phi0 + period/2.  A fringe flat everywhere (zero
+    amplitude or decay, e.g. under dark counts that underflow exp(-2 r_eff)),
+    or one whose minimum is not a positive float (it overflows, or the
+    derivative does), returns (nan, inf).
     """
     return _min_sensitivity(profile.fringe(spec))
 

@@ -117,8 +117,8 @@ class FringeModel:
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
         if not (self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not (self.decay >= 0.0):
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
+        if not (self.decay >= 0.0 and math.isfinite(self.decay)):
+            raise ValueError(f"decay must be >= 0 and finite, got {self.decay}")
         if not (self.floor >= 0.0):
             raise ValueError(f"floor must be >= 0, got {self.floor}")
         if self.amplitude + self.floor > 1.0 + 1e-12:

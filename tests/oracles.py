@@ -15,28 +15,29 @@ def count_fringe_peaks(values):
 def brent_min_sensitivity(model):
     """Off-peak sensitivity minimum of a FringeModel by a bounded Brent search.
 
-    The 1024-point grid scan of :func:`sagnac_parity.metrics.min_sensitivity`,
-    refined by scipy's bounded scalar minimizer on the sensitivity itself
-    within one grid step of the grid minimum.  Only for fringes with
-    headroom, whose minimum lies off the peak.  Returns (phi_star, value).
+    A 1024-point grid over the half period right of the peak, refined by
+    scipy's bounded scalar minimizer on the sensitivity itself within one
+    grid step of the grid minimum.  Only for fringes with headroom, whose
+    minimum lies off the peak.  Returns (phi_star, value), phi_star on the
+    twin right of the peak.
     """
     from scipy.optimize import minimize_scalar
 
-    from sagnac_parity.metrics import _GRID_POINTS, _sensitivity
+    from sagnac_parity.metrics import _sensitivity
 
-    period = model.period
-    grid = model.offset + np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
+    points, half = 1024, model.period / 2.0
+    grid = model.offset + np.linspace(0.0, half, points, endpoint=False)
     vals = _sensitivity(model, grid)
     finite = np.isfinite(vals)
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
     # search in the shift t from grid[i]: Brent's tolerance has a term
     # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star
-    step = period / _GRID_POINTS
+    step = half / points
     res = minimize_scalar(
         lambda t: _sensitivity(model, grid[i] + t),
         bounds=(-step, step),
         method="bounded",
-        options={"xatol": 1e-12 * max(period, 1.0)},
+        options={"xatol": 1e-12 * max(model.period, 1.0)},
     )
     if vals[i] < res.fun:
         return (float(grid[i]), float(vals[i]))

@@ -18,6 +18,7 @@ from sagnac_parity import (
     ImperfectionProfile,
     InterferometerSpec,
     load_fringe_data,
+    min_sensitivity,
     parity_expectation,
     parity_expectation_dark,
     parity_expectation_efficiency,
@@ -181,6 +182,21 @@ def test_metrics_summary_reads_the_closed_forms(capsys):
     assert float(row["visibility"]) == pytest.approx(0.96402758007581688, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", ["1", "0.2"])
+def test_metrics_summary_of_a_subnormal_floor_product(capsys, n):
+    # eta = 5e-324 leaves no headroom, and a b / 2 underflows: the floor at
+    # the peak is still the finite 1/(4 ell sqrt(a b / 2)), about 1e161
+    rc, out, err = _run(["metrics", "--ell", "1", "--n", n, "--eta", "5e-324"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    spec = InterferometerSpec(ell=1, mean_photons=float(n))
+    assert (float(row["min_sensitivity_phi_rad"]), float(row["min_sensitivity_rad"])) == min_sensitivity(
+        spec, ImperfectionProfile(eta=5e-324)
+    )
+    assert 1e160 < float(row["min_sensitivity_rad"]) < 1e162
+
+
 def test_fringe_that_is_zero_everywhere_is_a_json_error(capsys):
     rc, out, err = _run(["metrics", "--ell", "1", "--n", "2", "--dark-rate", "400"], capsys)
     assert rc == 2 and out == ""
@@ -252,8 +268,9 @@ def test_missing_required_option_is_a_json_error(capsys):
         (["curve", "--ell", "1", "--n", "2", "--variants", ""], "no variants requested"),
         (["metrics", "--n", "2"], "--ell is required"),
         (["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"], "at least one point"),
+        (["metrics", "--ell", "1", "--n", "1e308"], "decay must be >= 0 and finite, got inf"),
     ],
-    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep"],
+    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep", "decay-overflow"],
 )
 def test_bad_table_inputs_are_json_errors(capsys, argv, message):
     rc, out, err = _run(argv, capsys)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sagnac_parity import (
     fringe_figures,
     fwhm,
     min_sensitivity,
+    min_sensitivity_from_fit,
     parity_curve,
     parity_expectation,
     qfi_si,
@@ -115,6 +118,19 @@ def test_min_sensitivity_flat_fringe_has_no_working_point():
     phi_star, best = min_sensitivity(spec, ImperfectionProfile(dark_rate=400.0))
     assert math.isnan(phi_star)
     assert best == math.inf
+    # a subnormal amplitude (r_eff 360 ... 372.5) or decay (N = 1e-310)
+    # overflows delta_phi everywhere; so does a zero amplitude or decay
+    flat = [(spec, ImperfectionProfile(dark_rate=float(r))) for r in np.arange(360.0, 373.0, 0.5)]
+    flat.append((InterferometerSpec(ell=1, mean_photons=1e-310), ImperfectionProfile(dark_rate=0.01)))
+    flat.append((InterferometerSpec(ell=1, mean_photons=0.0), ImperfectionProfile(dark_rate=0.01)))
+    for case in flat:
+        phi_star, best = min_sensitivity(*case)
+        assert math.isnan(phi_star) and best == math.inf, case
+    for amplitude, decay, floor in ((0.0, 2.0, 0.5), (0.0, 2.0, 1.0), (0.5, 0.0, 0.2), (1.0, 0.0, 0.0)):
+        # with headroom and without
+        model = FringeModel(amplitude=amplitude, decay=decay, offset=0.3, ell=1, floor=floor)
+        phi_star, best = min_sensitivity_from_fit(model)
+        assert math.isnan(phi_star) and best == math.inf, model
     # a faint fringe is not flat: eta = 1e-16 leaves no headroom, so its
     # minimum is the floor 1/(4 ell sqrt(a b / 2)) at the peak
     phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=1e-16))
@@ -182,14 +198,29 @@ def test_zero_headroom_minimum_is_the_floor_at_the_peak(name, ell):
     assert np.all(values >= floor * (1.0 - 1e-12))
 
 
-# 50-digit mpmath minima of sqrt(1 - m^2)/|dm/dphi| at ell = 1, N = 2.297
+@pytest.mark.parametrize(
+    "ell, n, eta", [(1, 1.0, 5e-324), (1, 0.2, 5e-324), (2, 3.0, 1e-310), (3, 1e5, 5e-324), (1, 1e-300, 1e-10)]
+)
+def test_zero_headroom_floor_stays_finite_where_a_b_over_2_underflows(ell, n, eta):
+    spec = InterferometerSpec(ell=ell, mean_photons=n)
+    model = ImperfectionProfile(eta=eta).fringe(spec)
+    assert model.headroom == 0.0 and 0.5 * model.amplitude * model.decay < sys.float_info.min
+    phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=eta))
+    with mpmath.workprec(200):
+        exact = 1 / (4 * ell * mpmath.sqrt(mpmath.mpf(model.amplitude) * mpmath.mpf(model.decay) / 2))
+        assert phi_star == 0.0
+        assert abs(mpmath.mpf(best) / exact - 1) <= 1e-15
+
+
+# 50-digit mpmath minima of sqrt(1 - m^2)/|dm/dphi| at ell = 1, N = 2.297, on
+# the twin right of the peak
 @pytest.mark.parametrize(
     "profile, phi_ref, best_ref",
     [
         (ImperfectionProfile(dark_rate=0.0253), 0.097805604140181052128, 0.21466819718403002957),
         (
             ImperfectionProfile(eta=0.9, t_a=0.9, t_b=0.6, kappa=0.8, dark_rate=0.05, jitter_factor=1.5),
-            1.4118076839938294208,
+            0.15898864280106719846,
             0.40253443031913691362,
         ),
     ],
@@ -205,7 +236,8 @@ def test_min_sensitivity_off_the_peak_matches_mpmath(profile, phi_ref, best_ref)
 
 def test_off_peak_minimum_matches_a_brent_search_on_random_profiles():
     # the bisection on the analytic slope against scipy's bounded Brent search
-    # on the sensitivity itself, over profiles with every family active
+    # on the sensitivity itself, over profiles with every family active; both
+    # take the twin right of the peak
     rng = np.random.default_rng(20261018)
     for _ in range(600):
         spec = InterferometerSpec(ell=int(rng.integers(1, 5)), mean_photons=float(rng.uniform(0.5, 60.0)))
@@ -222,11 +254,12 @@ def test_off_peak_minimum_matches_a_brent_search_on_random_profiles():
         phi_star, best = min_sensitivity(spec, profile)
         assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0), (spec, profile)
         assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8), (spec, profile)
+        assert 0.0 < phi_star < spec.fringe_period / 2, (spec, profile)
 
 
 def test_off_peak_minimum_within_one_grid_step_of_the_peak():
-    # at large N the minimum lies inside the first grid step, whose bracket
-    # ends exactly at the peak, where the slope's cot 2theta is infinite
+    # at large N the minimum lies within a thousandth of a period of the peak,
+    # where the slope's 1/u term dominates
     spec = InterferometerSpec(ell=2, mean_photons=1e4)
     profile = ImperfectionProfile(dark_rate=1e-4)
     model = profile.fringe(spec)
@@ -235,6 +268,22 @@ def test_off_peak_minimum_within_one_grid_step_of_the_peak():
     phi_star, best = min_sensitivity(spec, profile)
     assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0)
     assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
+
+
+def test_off_peak_minimum_at_a_decay_near_overflow():
+    # at N = 2e307 the root u* ~ 1e-309 is subnormal and 1/u* overflows; the
+    # bisection runs on u times the slope, which stays finite
+    spec = InterferometerSpec(ell=1, mean_photons=2e307)
+    profile = ImperfectionProfile(dark_rate=0.01)
+    phi_star, best = min_sensitivity(spec, profile)
+    assert 0.0 < phi_star < 1e-150
+    assert np.all(best < sensitivity(spec, profile, phi_star * np.array([0.99, 1.01])))
+    # once 2 ell b passes 1.8e308 the derivative overflows and delta_phi reads
+    # 0 off the peak: that is no working point
+    spec = InterferometerSpec(ell=4, mean_photons=2e307)
+    assert sensitivity(spec, profile, 1e-160) == 0.0
+    phi_star, best = min_sensitivity(spec, profile)
+    assert math.isnan(phi_star) and best == math.inf
 
 
 FIGURE_PROFILES = {

@@ -46,6 +46,7 @@ def test_spec_rejects_negative_mean_photons():
         ({"floor": -0.1}, "floor must be >= 0"),
         ({"offset": math.inf}, "offset must be finite"),
         ({"offset": math.nan}, "offset must be finite"),
+        ({"decay": math.inf}, "decay must be >= 0"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):

@@ -89,6 +89,7 @@ def _tables_calls():
         _call("metrics-shallow", "metrics", "--ell", "1", "--n", "0.2"),
         _call("metrics-faint", "metrics", "--ell", "1", "--n", "2", "--dark-rate", "20"),
         _call("metrics-near-peak", "metrics", "--ell", "2", "--n", "10000", "--dark-rate", "0.0001"),
+        _call("metrics-subnormal-floor", "metrics", "--ell", "1", "--n", "1", "--eta", "5e-324"),
         _call("metrics-sweep-ideal", "metrics", "--ell", "1", "--n-sweep", "0.5", "20", "8"),
         _call("metrics-sweep-json", "metrics", "--ell", "3", *_EVERY_FLAG, "--n-sweep", "1", "30", "5",
               "--format", "json"),
@@ -143,6 +144,7 @@ def _error_calls():
         "metrics-no-ell": ["metrics", "--n", "2"],
         "metrics-no-n": ["metrics", "--ell", "1"],
         "metrics-flat": ["metrics", "--ell", "1", "--n", "1", "--dark-rate", "400"],
+        "metrics-decay-overflow": ["metrics", "--ell", "1", "--n", "1e308"],
         "metrics-sweep-0": ["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"],
         "metrics-sweep-float": ["metrics", "--ell", "1", "--n-sweep", "1", "2", "2.5"],
         "metrics-bad-table": ["metrics", *fringe, "--table", "bogus"],
