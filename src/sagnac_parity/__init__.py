@@ -9,37 +9,25 @@ cross-checking them, Fisher-information bounds, a seeded Monte Carlo detector
 model, and fringe fitting, plus a CLI that tabulates all of it.
 """
 
-import importlib
+from . import detector, fit, fock, metrics, model, qfi
 
 __version__ = "0.1.0"
 
 # The package namespace is each module's __all__, in this order, plus the
-# experiment entry from cli.  It is filled in on first access (PEP 562), so
-# that importing the package, or a subcommand that needs no fit, does not
-# load scipy; fit comes last because it is the module that loads it.
-_MODULES = ("model", "fock", "metrics", "qfi", "detector", "fit")
+# experiment entry from cli.  cli is imported on first use of those two
+# names: `python -m sagnac_parity.cli` warns if the package imported it first.
+_MODULES = (model, fock, metrics, qfi, detector, fit)
 _CLI_NAMES = ("ExperimentConfig", "run_experiment")
-
-
-def _module(name):
-    return importlib.import_module(f".{name}", __name__)
+__all__ = ["__version__", *(n for m in _MODULES for n in m.__all__), *_CLI_NAMES]
+globals().update((n, getattr(m, n)) for m in _MODULES for n in m.__all__)
 
 
 def __getattr__(name):
-    # submodules first: `from . import metrics` asks hasattr(package,
-    # "metrics"), and searching the modules for it would import fit
-    if name in _MODULES or name == "cli":
-        return _module(name)
-    if name == "__all__":
-        value = ["__version__", *(n for m in _MODULES for n in _module(m).__all__), *_CLI_NAMES]
-    else:
-        owner = next((m for m in _MODULES if name in _module(m).__all__), "cli" if name in _CLI_NAMES else None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(_module(owner), name)
-    globals()[name] = value
-    return value
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+    return getattr(cli, name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__getattr__("__all__")))
+    return sorted(set(globals()) | set(__all__))

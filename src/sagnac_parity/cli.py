@@ -34,6 +34,7 @@ import numpy as np
 
 from . import metrics, qfi
 from .detector import DetectorModel, scan
+from .fit import error_bars, fit_fringe, min_sensitivity_from_fit, sensitivity_from_fit
 from .model import ImperfectionProfile, InterferometerSpec, _check_integer, parity_expectation
 
 __all__ = ["ExperimentConfig", "run_experiment", "main", "DEFAULT_EXPERIMENT_SEED"]
@@ -94,9 +95,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     document (the same content as the JSON file).  Reruns with an identical
     config are byte-identical.
     """
-    # fit loads scipy.optimize, which no other subcommand needs
-    from .fit import error_bars, fit_fringe, min_sensitivity_from_fit, sensitivity_from_fit
-
     spec = InterferometerSpec(ell=config.ell, mean_photons=config.mean_photons)
     model = DetectorModel(
         units=config.units,

@@ -10,6 +10,13 @@ Amplitude and decay reparameterize as a = exp(-2 r) and b = 2 n_bar, so a
 fit recovers the mean photon number at the detector and the effective dark
 rate of the apparatus.
 
+The solver is this module's own: Marquardt-damped Gauss-Newton (SIAM J.
+Appl. Math. 11, 431 (1963)) in the parameters' box.  A parameter on a bound
+where the gradient points out of the box stays there, the others' step is
+clipped into the box, and a step is kept only if it lowers the cost.  It
+stops once a kept step lowers the cost by at most 1e-10 of itself, or once a
+step is at most 1e-14 of the parameters' norm (the stop of noiseless data).
+
 Derived quantities (visibility, width, super-resolution factor) and the
 fitted sensitivity are always recomputed from the fitted model through the
 same :mod:`sagnac_parity.metrics` routines that serve the closed forms.
@@ -21,9 +28,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .metrics import _min_sensitivity, _sensitivity, fringe_figures
 from .model import FringeModel, _check_integer, _shape
@@ -93,17 +100,20 @@ def _initial_guess(phi, y, ell, period):
 def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     """Weighted least-squares fit of the fringe model to (phi, value[, sigma]) rows.
 
-    Converges when the relative decrease of the weighted residual norm falls
-    below 1e-10 or raises FitConvergenceError after ``max_iter`` function
-    evaluations.  Requires at least half a period of data; the reported
-    offset is reduced to [0, pi/(2 ell)).  A fitted floor keeps the peak
-    amplitude + floor at most 1: when the free fit lands above, the fit is
-    redone with the peak pinned at parity 1 (floor = 1 - amplitude).
-    Fringes too shallow to reach their half level (decay < ln 2) fit
-    normally but report nan for the derived width and resolution factor.
-    Data whose numbers overflow the fit's arithmetic raise ValueError.
+    Converges by the module docstring's stop rules or raises
+    FitConvergenceError after ``max_iter`` function evaluations.  Requires at
+    least half a period of data; the reported offset is reduced to
+    [0, pi/(2 ell)).  A fitted floor keeps the peak amplitude + floor at
+    most 1: when the free fit lands above, the fit is redone with the peak
+    pinned at parity 1 (floor = 1 - amplitude).  Fringes too shallow to
+    reach their half level (decay < ln 2) fit normally but report nan for
+    the derived width and resolution factor.  Data whose numbers overflow
+    the fit's arithmetic raise ValueError, as do rows with
+    (|value| + 2)/sigma of sqrt(largest float / rows) or more: the model
+    lies in [0, 2], so below that the cost cannot overflow.
     """
     _check_integer("ell", ell)
+    _check_integer("max_iter", max_iter)
     arr = _as_data(data)
     floor = "free" if fit_floor else "zero"
     # angles, values or weights so far out of scale that the arithmetic
@@ -136,6 +146,8 @@ def _solve(phi, y, sig, ell, floor, max_iter):
         raise ValueError("data spans less than half a fringe period")
     if y.max() - y.min() < 1e-12:
         raise ValueError("data has no fringe contrast to fit")
+    if np.any((np.abs(y) + 2.0) / sig >= math.sqrt(np.finfo(float).max / y.size)):
+        raise ValueError("the data overflow the fit's arithmetic")
 
     a0, b0, phi0 = _initial_guess(phi, y, ell, period)
     x0 = [a0, b0, phi0]
@@ -171,35 +183,44 @@ def _solve(phi, y, sig, ell, floor, max_iter):
             cols.append(np.ones_like(phi) / sig)
         return np.column_stack(cols)
 
-    # xtol near machine precision is the stop that fires on noiseless data,
-    # where the cost hits zero and the ftol test (which needs a strictly
-    # positive reduction) can never trigger
-    return least_squares(
-        residuals,
-        x0,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        ftol=1e-10,
-        xtol=1e-14,
-        gtol=None,
-        max_nfev=max_iter,
-    )
+    return least_squares(residuals, x0, jac=jacobian, bounds=(lower, upper), max_nfev=max_iter)
+
+
+def least_squares(fun, x0, jac, bounds, max_nfev):
+    """Minimize |fun(x)|^2 in the box bounds = (lower, upper); status 0 means max_nfev calls of fun."""
+    lower, upper = np.asarray(bounds, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    f, J = fun(x), jac(x)
+    nfev, status, damping = 1, 0, 1e-3
+    while status == 0 and nfev < max_nfev:
+        g = J.T @ f
+        free = ~((x <= lower) & (g > 0) | (x >= upper) & (g < 0))
+        A = J[:, free].T @ J[:, free]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(A + damping * np.diag(np.diag(A)), -g[free], rcond=None)[0]
+        trial = np.clip(x + step, lower, upper)
+        f_trial = fun(trial)
+        nfev += 1
+        cost, cost_trial = f @ f, f_trial @ f_trial
+        status = int(np.linalg.norm(trial - x) <= 1e-14 * np.linalg.norm(x))
+        if cost_trial < cost:
+            status |= cost - cost_trial <= 1e-10 * cost
+            x, f, J, damping = trial, f_trial, jac(trial), damping / 10.0
+        else:
+            damping *= 10.0
+    return SimpleNamespace(x=x, fun=f, jac=J, status=status, nfev=nfev)
 
 
 def _package(res, ell, floor):
     a, b, p0 = res.x[:3]
     c = {"zero": 0.0, "peak": 1.0 - float(a), "free": float(res.x[-1])}[floor]
-    period = math.pi / (2.0 * ell)
-    p0 = math.fmod(p0, period)
-    if p0 < 0:
-        p0 += period
+    p0 = float(p0) % (math.pi / (2.0 * ell))
     model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=int(ell), floor=c)
 
     visibility, width, factor = fringe_figures(model)
     derived = {
         "n_bar": float(b) / 2.0,
-        "r": -math.log(float(a)) / 2.0,
+        "r": abs(math.log(float(a))) / 2.0,  # 0.0, not -0.0, at a = 1
         "visibility": visibility,
         "fwhm": width,
         "super_resolution_factor": factor,

@@ -10,7 +10,7 @@ as an independent cross-check of the closed forms in
 All weights are assembled in log space, log k! as the running sum of
 log 1..k, so lattices up to a few hundred photons stay finite.  One numpy
 Poisson law gives both the lattice weights and the tails that certify a
-truncation; scipy.special is their oracle in the tests, not a dependency.
+truncation; tests/test_fock.py checks both against special functions.
 """
 from __future__ import annotations
 

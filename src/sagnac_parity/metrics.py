@@ -23,7 +23,7 @@ sqrt(a b / 2)) everywhere, the limit at the peak u -> 0.  For the ideal
 fringe that is the shot-noise floor 1/(4 ell sqrt(N)).  With headroom the
 minimum lies off the peak.  delta_phi^2 depends on phi only through u, and
 one bisection on the sign of d/du ln delta_phi^2 over u in (0, 1) finds it
-in scalar math, without scipy; phi_star = phi0 + asin(sqrt(u*))/(2 ell) is
+in scalar math; phi_star = phi0 + asin(sqrt(u*))/(2 ell) is
 the twin right of the peak, phi0 < phi_star < phi0 + period/2.
 """
 from __future__ import annotations
@@ -131,8 +131,8 @@ def _min_sensitivity(model):
             lo, hi = (u, hi) if slope_u < 0.0 else (lo, u)
         phi = model.offset + math.asin(math.sqrt(u)) / (2.0 * ell)
         best = _sensitivity(model, phi)
-    # a minimum that overflows (a subnormal amplitude or decay) or reads 0 (the
-    # derivative overflows once 2 ell b > 1.8e308) is no working point
+    # a minimum that is not a positive float (it overflows at a subnormal
+    # amplitude or decay) is no working point
     return (phi, best) if 0.0 < best < math.inf else (math.nan, math.inf)
 
 
@@ -146,8 +146,8 @@ def min_sensitivity(spec, profile):
     finds the minimum off the peak, on the twin right of it:
     phi0 < phi_star < phi0 + period/2.  A fringe flat everywhere (zero
     amplitude or decay, e.g. under dark counts that underflow exp(-2 r_eff)),
-    or one whose minimum is not a positive float (it overflows, or the
-    derivative does), returns (nan, inf).
+    or one whose minimum is not a positive float (it overflows), returns
+    (nan, inf).
     """
     return _min_sensitivity(profile.fringe(spec))
 

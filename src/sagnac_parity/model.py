@@ -119,6 +119,9 @@ class FringeModel:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not (self.decay >= 0.0 and math.isfinite(self.decay)):
             raise ValueError(f"decay must be >= 0 and finite, got {self.decay}")
+        # 2 ell decay is the slope's first factor; past the float range delta_phi reads 0 or nan
+        if not math.isfinite(2.0 * self.ell * self.decay):
+            raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {self.ell}")
         if not (self.floor >= 0.0):
             raise ValueError(f"floor must be >= 0, got {self.floor}")
         if self.amplitude + self.floor > 1.0 + 1e-12:

@@ -42,3 +42,16 @@ def brent_min_sensitivity(model):
     if vals[i] < res.fun:
         return (float(grid[i]), float(vals[i]))
     return (float(grid[i] + res.x), float(res.fun))
+
+
+def scipy_least_squares(fun, x0, jac, bounds, max_nfev):
+    """scipy's bounded trust-region least squares ("trf") at tight tolerances.
+
+    Takes and returns what the package's own solver does
+    (``sagnac_parity.fit.least_squares``), so a test can swap it in.
+    """
+    from scipy.optimize import least_squares
+
+    return least_squares(
+        fun, x0, jac=jac, bounds=bounds, method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=max_nfev
+    )

@@ -269,8 +269,11 @@ def test_missing_required_option_is_a_json_error(capsys):
         (["metrics", "--n", "2"], "--ell is required"),
         (["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"], "at least one point"),
         (["metrics", "--ell", "1", "--n", "1e308"], "decay must be >= 0 and finite, got inf"),
+        # decay 1e308 is finite, but 2 ell decay in the fringe's slope is not
+        (["metrics", "--table", "sensitivity", "--ell", "1", "--n", "5e307", "--dark-rate", "0.01", "--points", "3"],
+         "decay must be >= 0"),
     ],
-    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep", "decay-overflow"],
+    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep", "decay-overflow", "slope-overflow"],
 )
 def test_bad_table_inputs_are_json_errors(capsys, argv, message):
     rc, out, err = _run(argv, capsys)
@@ -551,17 +554,16 @@ def _loads(modules, package):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is most of a cold start, and no subcommand needs it before it runs.
-    # bench/tracing.py wraps the functions of the package modules it finds in
-    # sys.modules once bench/worker.py has imported cli, detector, fit and
-    # fock, so cli itself must keep importing metrics and qfi.  The scan's
-    # thread pool is loaded when a scan runs, not at import
+    # the runtime needs numpy only.  bench/tracing.py wraps the functions of
+    # the package modules it finds in sys.modules once bench/worker.py has
+    # imported cli, detector, fit and fock, so cli itself must keep importing
+    # metrics and qfi.  The scan's thread pool is loaded when a scan runs, not
+    # at import
     loaded = _modules_after("import sagnac_parity.cli")
     assert not _loads(loaded, "scipy")
     assert not _loads(loaded, "concurrent.futures")
     for name in ("model", "detector", "metrics", "fock", "qfi", "cli"):
         assert f"sagnac_parity.{name}" in loaded, name
-    assert "sagnac_parity.fit" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -571,14 +573,16 @@ def test_cli_import_loads_no_scipy():
         ["metrics", "--ell", "1", "--n", "2.297"],
         ["metrics", "--ell", "1", "--n", "2.297", "--dark-rate", "0.0253"],
         ["qfi", "--ell", "1", "--n", "2"],
+        ["experiment", "--points", "8", "--trials", "100", "--units", "64"],
     ],
-    ids=["curve", "metrics", "metrics-off-peak", "qfi"],
+    ids=["curve", "metrics", "metrics-off-peak", "qfi", "experiment"],
 )
-def test_subcommands_load_only_the_scipy_they_run(argv):
-    # only experiment's fit runs scipy (scipy.optimize).  An off-peak minimum is
-    # a scalar bisection, and qfi's phase-averaged sum and its truncation read
-    # the Fock lattice's numpy Poisson law, so these load no scipy module at all
-    loaded = _modules_after(f"from sagnac_parity.cli import main\nmain({argv!r})")
+def test_subcommands_load_only_the_scipy_they_run(argv, tmp_path):
+    # no subcommand loads scipy: an off-peak minimum is a scalar bisection,
+    # qfi's phase-averaged sum and its truncation read the Fock lattice's numpy
+    # Poisson law, and the fit is the package's own least squares.  Each call
+    # runs in tmp_path, where experiment writes its files
+    loaded = _modules_after(f"import os\nos.chdir({str(tmp_path)!r})\nfrom sagnac_parity.cli import main\nmain({argv!r})")
     assert not _loads(loaded, "scipy")
 
 

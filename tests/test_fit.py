@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scipy_least_squares
 
 from sagnac_parity import (
+    ExperimentConfig,
     FitConvergenceError,
     FitResult,
     FringeModel,
@@ -17,9 +19,11 @@ from sagnac_parity import (
     fit_fringe,
     load_fringe_data,
     min_sensitivity_from_fit,
+    run_experiment,
     sensitivity,
     sensitivity_from_fit,
 )
+from sagnac_parity import cli, fit
 
 REFERENCE = FringeModel(amplitude=0.9507, decay=4.594, offset=0.7022, ell=1)
 
@@ -187,6 +191,61 @@ def test_minimum_fitted_sensitivity_of_the_reference_fringe():
     assert best * 4.0 * math.sqrt(2.297) == pytest.approx(1.3012362916884255, rel=1e-6)
 
 
+def _experiment_rows(monkeypatch, tmp_path, seed, **changes):
+    # the rows a seeded run_experiment hands to its fit
+    rows = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "fit_fringe", lambda data, ell: rows.append(data) or fit_fringe(data, ell))
+        run_experiment(ExperimentConfig(seed=seed, output_dir=str(tmp_path), **changes))
+    return rows[0]
+
+
+def test_fits_match_the_scipy_trust_region_oracle(monkeypatch, tmp_path):
+    # the noiseless rows of the tests above, seeded noisy rows at ell 1-4 with
+    # and without a floor, floor fits of a fringe peaking at parity 1, and the
+    # rows of seeded experiments, the last one's amplitude on its bound 1
+    cases = [
+        (_noiseless_data(truth, points), truth.ell, truth.floor > 0.0)
+        for truth, points in [
+            (REFERENCE, 60),
+            (FringeModel(amplitude=0.8, decay=6.0, offset=0.3, ell=2), 40),
+            (FringeModel(amplitude=0.9, decay=0.55, offset=0.4, ell=1), 40),
+            (FringeModel(amplitude=0.9, decay=800.0, offset=0.3, ell=1), 200),
+            (FringeModel(amplitude=0.6, decay=5.0, offset=0.2, ell=1, floor=0.2), 50),
+        ]
+    ]
+    rng = np.random.default_rng(2024)
+    for ell in (1, 2, 3, 4):
+        for fit_floor in (False, True):
+            for sigma in (0.001, 0.01, 0.05):
+                amplitude = rng.uniform(0.5, 1.0)
+                floor = rng.uniform(0.0, 1.0 - amplitude) if fit_floor else 0.0
+                truth = FringeModel(amplitude, rng.uniform(0.5, 40.0), rng.uniform(0.0, 1.5 / ell), ell, floor)
+                phi = _period_grid(truth, 40)
+                data = np.column_stack([phi, truth(phi) + rng.normal(0.0, sigma, phi.size), np.full(phi.size, sigma)])
+                cases.append((data, ell, fit_floor))
+    edge = FringeModel(amplitude=0.7, decay=4.0, offset=0.3, ell=1, floor=0.3)
+    phi = np.linspace(0.0, edge.period, 24, endpoint=False)
+    for seed in range(6):
+        values = edge(phi) + np.random.default_rng(seed).normal(0.0, 0.05, phi.size)
+        cases.append((np.column_stack([phi, values, np.full(phi.size, 0.05)]), 1, True))
+    for seed in (0, 2, 8, 11):
+        cases.append((_experiment_rows(monkeypatch, tmp_path, seed), 1, False))
+    cases.append((_experiment_rows(monkeypatch, tmp_path, 2, points=4, trials_per_point=1000, units=64), 1, False))
+
+    for data, ell, fit_floor in cases:
+        ours = fit_fringe(data, ell, fit_floor=fit_floor)
+        with monkeypatch.context() as m:
+            m.setattr(fit, "least_squares", scipy_least_squares)
+            oracle = fit_fringe(data, ell, fit_floor=fit_floor)
+        # a weighted cost at most 1e-9 above the oracle's, or at rounding level
+        # for noiseless rows; each parameter within 1e-4 of its standard error
+        assert ours.residual_rms**2 <= oracle.residual_rms**2 * (1.0 + 1e-9) + 1e-30
+        for name, stderr in oracle.param_stderr.items():
+            assert abs(getattr(ours.model, name) - getattr(oracle.model, name)) <= 1e-4 * stderr, name
+    assert ours.model.amplitude == 1.0
+
+
 def test_iteration_cap_raises_with_best_iterate_attached():
     with pytest.raises(FitConvergenceError) as exc:
         fit_fringe(_noiseless_data(REFERENCE, 60), ell=1, max_iter=1)
@@ -240,6 +299,13 @@ def test_rejects_data_that_overflow_the_fit():
     phi = np.linspace(0.0, 1.0, 8)
     with pytest.raises(ValueError, match="overflow"):
         fit_fringe(np.column_stack([phi, np.linspace(0.0, 1.0, 8), np.full(8, 1e-300)]), ell=1)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, "5", 0, -1, None])
+def test_rejects_bad_iteration_caps(max_iter):
+    # 2.5 used to run without end; None used to mean the solver's own default
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        fit_fringe(_noiseless_data(REFERENCE, 20), ell=1, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("ell", [0, -2, 1.5, True])

@@ -47,6 +47,8 @@ def test_spec_rejects_negative_mean_photons():
         ({"offset": math.inf}, "offset must be finite"),
         ({"offset": math.nan}, "offset must be finite"),
         ({"decay": math.inf}, "decay must be >= 0"),
+        # 2 ell decay, the slope's factor, overflows; decay 5e307 at ell 1 is fine
+        ({"decay": 5e307, "ell": 2}, "decay must be >= 0"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):

@@ -145,6 +145,8 @@ def _error_calls():
         "metrics-no-n": ["metrics", "--ell", "1"],
         "metrics-flat": ["metrics", "--ell", "1", "--n", "1", "--dark-rate", "400"],
         "metrics-decay-overflow": ["metrics", "--ell", "1", "--n", "1e308"],
+        "metrics-slope-overflow": ["metrics", "--table", "sensitivity", "--ell", "1", "--n", "5e307", "--dark-rate",
+                                   "0.01", "--points", "3"],
         "metrics-sweep-0": ["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"],
         "metrics-sweep-float": ["metrics", "--ell", "1", "--n-sweep", "1", "2", "2.5"],
         "metrics-bad-table": ["metrics", *fringe, "--table", "bogus"],
