@@ -43,7 +43,7 @@ for name, profile in profiles.items():
     top = fringe(fringe.offset)
     bottom = fringe(fringe.offset + fringe.period / 2.0)
     visibility, width, _ = fringe_figures(fringe)
-    _, best = min_sensitivity(spec, profile)
+    _, best = min_sensitivity(profile.fringe(spec))
     print(
         f"  {name:<20} {top:8.4f} {bottom:8.4f} {visibility:11.4f} "
         f"{width:8.4f} {best:10.6f} {best / snl:7.3f}"
@@ -54,7 +54,7 @@ for name, profile in profiles.items():
 print()
 print("preparation fidelity vs sensitivity penalty (expect 1/sqrt(eta)):")
 for eta in (1.0, 0.8, 0.5, 0.25):
-    _, best = min_sensitivity(spec, ImperfectionProfile(eta=eta))
+    _, best = min_sensitivity(ImperfectionProfile(eta=eta).fringe(spec))
     print(f"  eta={eta:5.2f}: best {best:.6f} rad  penalty {best / snl:.4f} "
           f"vs 1/sqrt(eta) = {1.0 / math.sqrt(eta):.4f}")
 

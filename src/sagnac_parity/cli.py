@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics, qfi
 from .detector import DetectorModel, scan
-from .fit import error_bars, fit_fringe, min_sensitivity_from_fit, sensitivity_from_fit
+from .fit import error_bars, fit_fringe
 from .model import ImperfectionProfile, InterferometerSpec, _check_integer, parity_expectation
 
 __all__ = ["ExperimentConfig", "run_experiment", "main", "DEFAULT_EXPERIMENT_SEED"]
@@ -130,9 +130,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     bars = error_bars(phis, config.trials_per_point, result.model)
 
     snl = 1.0 / (4.0 * config.ell * math.sqrt(config.mean_photons))
-    phi_star, best = min_sensitivity_from_fit(result)
+    phi_star, best = metrics.min_sensitivity(result.model)
     dense = start + np.linspace(0.0, period, 481)
-    sens = sensitivity_from_fit(result, dense)
+    sens = metrics.sensitivity(result.model, dense)
 
     os.makedirs(config.output_dir, exist_ok=True)
     paths = {
@@ -376,7 +376,7 @@ def _cmd_metrics(args):
     if args.table == "sensitivity":
         spec = _spec_from(args)
         grid, phi_name, phi_out = _grid_from(args, spec)
-        sens = metrics.sensitivity(spec, profile, grid)
+        sens = metrics.sensitivity(profile.fringe(spec), grid)
         return "sensitivity", [phi_name, "sensitivity_rad"], zip(phi_out.tolist(), sens.tolist())
 
     if args.ell is None:
@@ -396,9 +396,9 @@ def _cmd_metrics(args):
 
     rows = []
     for n in ns:
-        spec = InterferometerSpec(ell=args.ell, mean_photons=float(n))
-        visibility, width, factor = metrics.fringe_figures(profile.fringe(spec))
-        phi_star, best = metrics.min_sensitivity(spec, profile)
+        fringe = profile.fringe(InterferometerSpec(ell=args.ell, mean_photons=float(n)))
+        visibility, width, factor = metrics.fringe_figures(fringe)
+        phi_star, best = metrics.min_sensitivity(fringe)
         rows.append((args.ell, float(n), width, visibility, factor, best, phi_star))
     columns = [
         "ell",

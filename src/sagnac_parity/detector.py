@@ -1,12 +1,13 @@
 """Monte Carlo model of a multiplexed click-detector (Gm-APD array) parity readout.
 
-The dark-port photon number is Poisson (coherent light), so spreading it
-uniformly over M on/off units and thinning it by the efficiency kappa splits
-it into M independent Poisson streams of mean kappa*mu/M.  Each unit thus
-fires independently, from light or from its dark trigger (r_eff/M), with
-p = 1 - (1 - r_eff/M) exp(-kappa mu/M); the click count is exactly
-Binomial(M, p) at any M, with parity (1 - 2p)^M.  Saturation (two photons,
-one click) is built in: finite M can only undercount the light.
+The dark-port photon number is Poisson (coherent light) of mean
+mu = N sin^2(2 ell phi), so spreading it uniformly over M on/off units and
+thinning it by the efficiency kappa splits it into M independent Poisson
+streams of mean kappa*mu/M.  Each unit thus fires independently, from light
+or from its dark trigger (r_eff/M), with p = 1 - (1 - r_eff/M) exp(-kappa mu/M);
+the click count is exactly Binomial(M, p) at any M (Sperling, Vogel and
+Agarwal, PRA 85, 023820 (2012)), with parity (1 - 2p)^M.  Saturation (two
+photons, one click) is built in: finite M can only undercount the light.
 
 A readout's parity is (-1)^count, so T readouts are summed up by the number k
 of odd counts: the parity mean is (T - 2k)/T and its sample standard error
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImperfectionProfile, _check_integer, dark_port_mean
+from .model import ImperfectionProfile, _check_integer
 
 __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan", "credibility"]
 
@@ -82,15 +83,22 @@ class DetectorRun:
     empirical_dist: np.ndarray
 
 
+def _click_probability(spec, phi, model):
+    # the click law of one unit at angle phi: its light x = kappa N sin^2(2 ell phi)/M and its
+    # dark trigger q = r_eff/M give p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
+    s = float(np.sin(2 * spec.ell * phi))
+    x = model.kappa * (spec.mean_photons * s * s) / model.units
+    q = model.effective_dark_rate / model.units
+    return -math.expm1(-x) + q * math.exp(-x)
+
+
 def _draw(spec, phi, model, seed, trials):
     # the click counts of `trials` readouts, Binomial(M, p) i.i.d., from the PCG64 stream of `seed`
-    mu = float(dark_port_mean(spec, phi))
-    q = model.effective_dark_rate / model.units
-    x = model.kappa * mu / model.units
-    # p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
-    p = -math.expm1(-x) + q * math.exp(-x)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    return rng.binomial(model.units, p, trials)
+    return rng.binomial(model.units, _click_probability(spec, phi, model), trials)
 
 
 def _parity_estimate(counts):

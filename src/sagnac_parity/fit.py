@@ -19,7 +19,8 @@ step is at most 1e-14 of the parameters' norm (the stop of noiseless data).
 
 Derived quantities (visibility, width, super-resolution factor) and the
 fitted sensitivity are always recomputed from the fitted model through the
-same :mod:`sagnac_parity.metrics` routines that serve the closed forms.
+same :mod:`sagnac_parity.metrics` routines that serve the closed forms;
+the ``*_from_fit`` pair only hands them ``result.model``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .metrics import _min_sensitivity, _sensitivity, fringe_figures
+from .metrics import fringe_figures, min_sensitivity, sensitivity
 from .model import FringeModel, _check_integer, _shape
 
 __all__ = [
@@ -251,13 +252,13 @@ def error_bars(phi, trials, model):
 
 
 def sensitivity_from_fit(result, phi):
-    """Sensitivity sqrt(1 - m^2)/|m'| of the fitted model; +inf where stationary."""
-    return _sensitivity(result.model if isinstance(result, FitResult) else result, phi)
+    """:func:`~sagnac_parity.metrics.sensitivity` of a FitResult's model (or of a FringeModel)."""
+    return sensitivity(result.model if isinstance(result, FitResult) else result, phi)
 
 
 def min_sensitivity_from_fit(result):
-    """Minimum of sensitivity_from_fit over one period: (phi_star, value)."""
-    return _min_sensitivity(result.model if isinstance(result, FitResult) else result)
+    """:func:`~sagnac_parity.metrics.min_sensitivity` of a FitResult's model (or of a FringeModel)."""
+    return min_sensitivity(result.model if isinstance(result, FitResult) else result)
 
 
 # --- reading fringe data back from CLI output -----------------------------

@@ -4,8 +4,9 @@ Sensitivity follows from error propagation on a parity fringe m(phi),
 
     delta_phi = sqrt(1 - m^2) / |dm/dphi|,
 
-evaluated on its :class:`~sagnac_parity.model.FringeModel`: the closed form
-of a profile here, the fitted model in :mod:`sagnac_parity.fit`.  The
+evaluated on a :class:`~sagnac_parity.model.FringeModel`, the one input of
+:func:`sensitivity` and :func:`min_sensitivity`: ``profile.fringe(spec)``
+for the closed form of a profile, ``FitResult.model`` for a fit.  The
 derivative and the variance are the model's own: the variance is computed
 through expm1 so the limit at the fringe peak (where m -> 1 and both
 numerator and derivative vanish) stays accurate.  Points where the fringe
@@ -82,11 +83,13 @@ def parity_curve(spec, profile, phi_grid):
     )
 
 
-def _sensitivity(model, phi):
-    # one error-propagation formula for every FringeModel, closed-form or
-    # fitted; the derivative is exactly 0 only at an extremum, and one that
-    # underflows towards 0 overflows the quotient to inf, which is the right
-    # sensitivity there
+def sensitivity(model, phi):
+    """Angular sensitivity delta_phi of a FringeModel at a working point (scalar or array).
+
+    Stationary points of the fringe, phi = phi0 + k * period/2, return +inf.
+    """
+    # the derivative is exactly 0 only at an extremum, and one that underflows
+    # towards 0 overflows the quotient to inf, which is the right sensitivity there
     d = model.derivative(phi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(d == 0.0, np.inf, np.sqrt(model.variance(phi)) / np.abs(d))
@@ -95,16 +98,19 @@ def _sensitivity(model, phi):
     return out
 
 
-def sensitivity(spec, profile, phi):
-    """Angular sensitivity delta_phi at a working point (scalar or array).
+def min_sensitivity(model):
+    """Infimum of delta_phi over one fringe period of a FringeModel, as (phi_star, delta_phi).
 
-    Stationary points of the fringe, phi = k * period/2, return +inf.
+    With no headroom (ideal, preparation, efficiency, balanced loss) it is
+    the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
+    phi0, where :func:`sensitivity` is +inf.  Otherwise a bisection in
+    u = sin^2(2 ell (phi - phi0)) on the sign of the slope of delta_phi
+    finds the minimum off the peak, on the twin right of it:
+    phi0 < phi_star < phi0 + period/2.  A fringe flat everywhere (zero
+    amplitude or decay, e.g. under dark counts that underflow exp(-2 r_eff)),
+    or one whose minimum is not a positive float (it overflows), returns
+    (nan, inf).
     """
-    return _sensitivity(profile.fringe(spec), phi)
-
-
-def _min_sensitivity(model):
-    # the closed-form floor at the peak, or a bisection in u = sin^2(2 ell (phi - phi0))
     a, b, c, ell = model.amplitude, model.decay, model.floor, model.ell
     if a == 0.0 or b == 0.0:
         return (math.nan, math.inf)
@@ -130,26 +136,11 @@ def _min_sensitivity(model):
             slope_u = 2.0 * b * u * (ay * m / (one_minus * (1.0 + m)) + 1.0) - 1.0 + u / (1.0 - u)
             lo, hi = (u, hi) if slope_u < 0.0 else (lo, u)
         phi = model.offset + math.asin(math.sqrt(u)) / (2.0 * ell)
-        best = _sensitivity(model, phi)
+        best = sensitivity(model, phi)
     # a minimum that is not a positive float (it overflows at a subnormal
     # amplitude or decay) is no working point
     return (phi, best) if 0.0 < best < math.inf else (math.nan, math.inf)
 
-
-def min_sensitivity(spec, profile):
-    """Infimum of delta_phi over one fringe period, as (phi_star, delta_phi).
-
-    With no headroom (ideal, preparation, efficiency, balanced loss) it is
-    the floor 1/(4 ell sqrt(a b / 2)) at the peak: phi_star is the peak
-    phi0, where :func:`sensitivity` is +inf.  Otherwise a bisection in
-    u = sin^2(2 ell (phi - phi0)) on the sign of the slope of delta_phi
-    finds the minimum off the peak, on the twin right of it:
-    phi0 < phi_star < phi0 + period/2.  A fringe flat everywhere (zero
-    amplitude or decay, e.g. under dark counts that underflow exp(-2 r_eff)),
-    or one whose minimum is not a positive float (it overflows), returns
-    (nan, inf).
-    """
-    return _min_sensitivity(profile.fringe(spec))
 
 
 def visibility(curve, period=None):

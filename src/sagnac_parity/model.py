@@ -29,7 +29,6 @@ __all__ = [
     "InterferometerSpec",
     "ImperfectionProfile",
     "FringeModel",
-    "dark_port_mean",
     "parity_expectation_ideal",
     "parity_expectation_prep",
     "parity_expectation_loss",
@@ -83,7 +82,8 @@ class InterferometerSpec:
     def __post_init__(self):
         _check_integer("ell", self.ell)
         n = self.mean_photons
-        if not (isinstance(n, (int, float, np.floating, np.integer)) and math.isfinite(n)):
+        # a bool is no photon number, as it is no integer input in _check_integer
+        if isinstance(n, bool) or not (isinstance(n, (int, float, np.floating, np.integer)) and math.isfinite(n)):
             raise ValueError(f"mean_photons must be finite, got {n!r}")
         if n < 0:
             raise ValueError(f"mean_photons must be >= 0, got {n}")
@@ -226,16 +226,6 @@ class ImperfectionProfile:
         )
         object.__setattr__(model, "headroom", -math.expm1(-2.0 * r_eff) + dark * self.eta * -math.expm1(-gap))
         return model
-
-
-def dark_port_mean(spec, phi):
-    """Mean photon number N sin^2(2 ell phi) of the lossless dark port.
-
-    Loss and detection efficiency enter through
-    :meth:`ImperfectionProfile.fringe`, which states their law.
-    """
-    s = np.sin(2 * spec.ell * np.asarray(phi, dtype=float))
-    return spec.mean_photons * s * s
 
 
 def parity_expectation(spec, phi, profile):

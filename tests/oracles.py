@@ -23,18 +23,18 @@ def brent_min_sensitivity(model):
     """
     from scipy.optimize import minimize_scalar
 
-    from sagnac_parity.metrics import _sensitivity
+    from sagnac_parity.metrics import sensitivity
 
     points, half = 1024, model.period / 2.0
     grid = model.offset + np.linspace(0.0, half, points, endpoint=False)
-    vals = _sensitivity(model, grid)
+    vals = sensitivity(model, grid)
     finite = np.isfinite(vals)
     i = int(np.flatnonzero(finite)[np.argmin(vals[finite])])
     # search in the shift t from grid[i]: Brent's tolerance has a term
     # sqrt(eps)*|x|, which on phi itself would stop near 1e-8 rad from phi_star
     step = half / points
     res = minimize_scalar(
-        lambda t: _sensitivity(model, grid[i] + t),
+        lambda t: sensitivity(model, grid[i] + t),
         bounds=(-step, step),
         method="bounded",
         options={"xatol": 1e-12 * max(model.period, 1.0)},

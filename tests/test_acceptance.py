@@ -103,7 +103,7 @@ def test_criterion_02_ideal_minimum_sensitivity_saturates_the_bound():
     for n in PHOTON_GRID:
         for ell in CHARGE_GRID:
             spec = InterferometerSpec(ell=ell, mean_photons=n)
-            _, best = min_sensitivity(spec, ideal)
+            _, best = min_sensitivity(ideal.fringe(spec))
             worst = max(worst, abs(best * math.sqrt(16.0 * ell * ell * n) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 1.0

@@ -190,10 +190,8 @@ def test_metrics_summary_of_a_subnormal_floor_product(capsys, n):
     assert rc == 0 and err == ""
     header, rows = _table(out)
     row = dict(zip(header, rows[0]))
-    spec = InterferometerSpec(ell=1, mean_photons=float(n))
-    assert (float(row["min_sensitivity_phi_rad"]), float(row["min_sensitivity_rad"])) == min_sensitivity(
-        spec, ImperfectionProfile(eta=5e-324)
-    )
+    model = ImperfectionProfile(eta=5e-324).fringe(InterferometerSpec(ell=1, mean_photons=float(n)))
+    assert (float(row["min_sensitivity_phi_rad"]), float(row["min_sensitivity_rad"])) == min_sensitivity(model)
     assert 1e160 < float(row["min_sensitivity_rad"]) < 1e162
 
 

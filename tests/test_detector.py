@@ -8,8 +8,7 @@ import pytest
 from scipy import stats
 
 from sagnac_parity import DetectorModel, InterferometerSpec, credibility, scan, simulate
-from sagnac_parity.detector import _parity_estimate, _point_seed
-from sagnac_parity.model import dark_port_mean
+from sagnac_parity.detector import _click_probability, _parity_estimate, _point_seed
 
 
 def _stderr_bound(expectation, trials):
@@ -21,7 +20,7 @@ def _reference_counts(spec, phi, model, trials, rng):
     # simulated photon by photon.  Poisson photons, kappa thinning, uniform
     # landing on the units (np.unique counts the distinct units hit), then
     # dark triggers on the units left empty
-    k = rng.poisson(dark_port_mean(spec, phi), trials)
+    k = rng.poisson(spec.mean_photons * math.sin(2 * spec.ell * phi) ** 2, trials)
     survivors = rng.binomial(k, model.kappa)
     unit_ix = rng.integers(0, model.units, size=int(survivors.sum()))
     trial_ix = np.repeat(np.arange(trials), survivors)
@@ -212,11 +211,15 @@ def test_scan_rejects_bad_trials(trials):
 
 
 def test_scan_rejects_a_nan_angle():
+    # and an infinite one, before np.sin can warn of it; simulate too
     spec = InterferometerSpec(ell=1, mean_photons=1.0)
-    grid = np.linspace(0.1, 0.7, 9)
-    grid[5] = np.nan
-    with pytest.raises(ValueError):
-        scan(spec, DetectorModel(units=8), grid, 100)
+    for bad in (math.nan, math.inf, -math.inf):
+        grid = np.linspace(0.1, 0.7, 9)
+        grid[5] = bad
+        with pytest.raises(ValueError, match="phi"):
+            scan(spec, DetectorModel(units=8), grid, 100)
+        with pytest.raises(ValueError, match="phi"):
+            simulate(spec, bad, DetectorModel(units=8), 100)
 
 
 def test_scan_point_seeds_differ():
@@ -270,6 +273,40 @@ def test_click_histogram_matches_the_photon_by_photon_reference(units, sixteenth
     table = np.array([np.bincount(counts, minlength=size), np.bincount(reference, minlength=size)])
     table = table[:, table.sum(axis=0) > 0]
     assert stats.chi2_contingency(table).pvalue > 1e-6
+
+
+def _occupancy_pmf(mean, units, q, n_max):
+    # the click-count law summed photon by photon: n ~ Poisson(mean) photons land uniformly on M
+    # units, j of them occupied with P(j | n) = C(M, j) j! S(n, j) / M^n (S the Stirling numbers
+    # of the second kind), then each of the M - j empty units fires a dark trigger with probability q
+    stirling = [[1] + [0] * units]
+    for n in range(1, n_max + 1):
+        row = stirling[-1]
+        stirling.append([0] + [j * row[j] + row[j - 1] for j in range(1, units + 1)])
+    pmf = [0.0] * (units + 1)
+    for n in range(n_max + 1):
+        weight = math.exp(-mean) * mean**n / math.factorial(n)
+        for j in range(min(n, units) + 1):
+            occupied = math.comb(units, j) * math.factorial(j) * stirling[n][j] / units**n
+            for k in range(j, units + 1):
+                dark = math.comb(units - j, k - j) * q ** (k - j) * (1.0 - q) ** (units - k)
+                pmf[k] += weight * occupied * dark
+    return np.array(pmf)
+
+
+@pytest.mark.parametrize("units", [1, 2, 3, 8])
+def test_click_probability_gives_the_occupancy_law(units):
+    # Binomial(M, p) with p from _click_probability against the occupancy sum (Sperling, Vogel
+    # and Agarwal, PRA 85, 023820 (2012)), with the dark-port mean written out here
+    for n, kappa, dark_rate in ((4.0, 0.8, 0.05), (20.0, 1.0, 0.5), (0.3, 0.5, 0.0)):
+        spec = InterferometerSpec(ell=2, mean_photons=n)
+        model = DetectorModel(units=units, kappa=kappa, dark_rate=dark_rate)
+        for phi in (0.0, 0.05, math.pi / 16, 0.3):
+            mean = kappa * n * math.sin(2 * spec.ell * phi) ** 2
+            want = _occupancy_pmf(mean, units, dark_rate / units, n_max=int(mean + 20.0 * math.sqrt(mean) + 40))
+            p = _click_probability(spec, phi, model)
+            got = stats.binom.pmf(np.arange(units + 1), units, p)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=f"{units} {n} {phi}")
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 32], ids=["0", "pi/32"])

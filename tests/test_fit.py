@@ -169,7 +169,7 @@ def test_fitted_sensitivity_matches_closed_form_for_ideal_shape():
     ideal = ImperfectionProfile()
     phis = np.linspace(0.05, 0.35, 7)
     got = sensitivity_from_fit(model, phis)
-    want = sensitivity(spec, ideal, phis)
+    want = sensitivity(ideal.fringe(spec), phis)
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 

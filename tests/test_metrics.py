@@ -15,7 +15,6 @@ from sagnac_parity import (
     fringe_figures,
     fwhm,
     min_sensitivity,
-    min_sensitivity_from_fit,
     parity_curve,
     parity_expectation,
     qfi_si,
@@ -38,10 +37,10 @@ def _dense_curve(spec, profile, points=4097):
 # sqrt(1 - E^2) / |dE/dphi| with E = exp(-2 N sin^2(2 ell phi))
 
 def test_sensitivity_frozen_values():
-    assert sensitivity(InterferometerSpec(ell=1, mean_photons=10.0), IDEAL, 0.3) == pytest.approx(
+    assert sensitivity(IDEAL.fringe(InterferometerSpec(ell=1, mean_photons=10.0)), 0.3) == pytest.approx(
         15.767046248889761, rel=1e-12
     )
-    assert sensitivity(InterferometerSpec(ell=2, mean_photons=5.0), IDEAL, 0.1) == pytest.approx(
+    assert sensitivity(IDEAL.fringe(InterferometerSpec(ell=2, mean_photons=5.0)), 0.1) == pytest.approx(
         0.15490911792304052, rel=1e-12
     )
 
@@ -51,12 +50,33 @@ def test_sensitivity_is_inf_at_stationary_points():
         spec = InterferometerSpec(ell=ell, mean_photons=5.0)
         period = spec.fringe_period
         for profile in (IDEAL, ALL_FAMILIES):
+            model = profile.fringe(spec)
             for phi in (0.0, period / 2, period, 2 * period):
-                assert sensitivity(spec, profile, phi) == math.inf, (ell, profile, phi)
+                assert sensitivity(model, phi) == math.inf, (ell, profile, phi)
             phi = np.array([0.0, 0.4 * period, period / 2, period, 1.7 * period, 2 * period])
-            values = sensitivity(spec, profile, phi)
+            values = sensitivity(model, phi)
             assert np.all(values[[0, 2, 3, 5]] == math.inf)
             assert np.all(np.isfinite(values[[1, 4]]))
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("profile", [IDEAL, ImperfectionProfile(eta=0.9, dark_rate=0.0253)], ids=["ideal", "prep-dark"])
+def test_sensitivity_just_off_an_extremum_matches_mpmath(profile, ell):
+    # the stationary cut of FringeModel.derivative is a few rounding units of the phase wide:
+    # 8 to 60 ulps past the trough phi0 + period/2 and the peak phi0 + period, delta_phi is
+    # finite and exact, where a cut 16 times as wide reads inf
+    model = profile.fringe(InterferometerSpec(ell=ell, mean_photons=2.297))
+    a, b, c, h = (mpmath.mpf(v) for v in (model.amplitude, model.decay, model.floor, model.headroom))
+    for extremum in (model.offset + model.period / 2, model.offset + model.period):
+        for ulps in (8, 12, 20, 40, 60):
+            phi = extremum + ulps * math.ulp(extremum)
+            got = sensitivity(model, phi)
+            with mpmath.workdps(60):
+                x = 2 * ell * (mpmath.mpf(phi) - mpmath.mpf(model.offset))
+                y = mpmath.exp(-b * mpmath.sin(x) ** 2)
+                variance = (h - a * mpmath.expm1(-b * mpmath.sin(x) ** 2)) * (1 + a * y + c)
+                want = mpmath.sqrt(variance) / abs(2 * ell * b * mpmath.sin(2 * x) * a * y)
+                assert math.isfinite(got) and abs(got / want - 1) <= 1e-12, (extremum, ulps, got, want)
 
 
 @pytest.mark.parametrize("dark_rate", [1e-12, 1e-9])
@@ -70,10 +90,9 @@ def test_sensitivity_near_the_peak_keeps_full_precision(dark_rate, phi):
     x = 2.0 * dark_rate + 2.0 * n * math.sin(2 * ell * phi) ** 2
     variance = -math.expm1(-x) * (1.0 + math.exp(-x))
     expected = math.sqrt(variance) / (4.0 * ell * n * abs(math.sin(4 * ell * phi)) * math.exp(-x))
-    got = sensitivity(spec, profile, phi)
-    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
-    # the variance and the error bars read off the same cancellation-free form
     model = profile.fringe(spec)
+    assert sensitivity(model, phi) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # the variance and the error bars read off the same cancellation-free form
     assert model.variance(phi) == pytest.approx(variance, rel=1e-13, abs=0.0)
     assert error_bars(phi, 10_000, model) == pytest.approx(math.sqrt(variance / 10_000), rel=1e-13, abs=0.0)
 
@@ -81,41 +100,41 @@ def test_sensitivity_near_the_peak_keeps_full_precision(dark_rate, phi):
 def test_sensitivity_approaches_shot_noise_limited_floor():
     spec = InterferometerSpec(ell=1, mean_photons=1.0)
     limit = 0.25
-    samples = [sensitivity(spec, IDEAL, phi) for phi in (1e-3, 1e-4, 1e-5)]
+    samples = [sensitivity(IDEAL.fringe(spec), phi) for phi in (1e-3, 1e-4, 1e-5)]
     gaps = [abs(s - limit) for s in samples]
     assert gaps[0] > gaps[1] > gaps[2]
     assert samples[-1] == pytest.approx(limit, rel=1e-8)
 
 
 def test_min_sensitivity_reaches_heisenberg_scaling_floor():
-    phi_star, best = min_sensitivity(InterferometerSpec(ell=3, mean_photons=10.0), IDEAL)
+    phi_star, best = min_sensitivity(IDEAL.fringe(InterferometerSpec(ell=3, mean_photons=10.0)))
     assert best == pytest.approx(0.026352313834736494, rel=1e-9)
     assert 0.0 <= phi_star < math.pi / 6
 
 
 def test_min_sensitivity_simple_case():
-    _, best = min_sensitivity(InterferometerSpec(ell=1, mean_photons=1.0), IDEAL)
+    _, best = min_sensitivity(IDEAL.fringe(InterferometerSpec(ell=1, mean_photons=1.0)))
     assert best == pytest.approx(0.25, rel=1e-9)
 
 
 def test_prep_inefficiency_raises_the_floor():
     spec = InterferometerSpec(ell=1, mean_photons=10.0)
-    degraded = sensitivity(spec, ImperfectionProfile(eta=0.5), 1e-5)
+    degraded = sensitivity(ImperfectionProfile(eta=0.5).fringe(spec), 1e-5)
     assert degraded == pytest.approx(0.11180339887498948, rel=1e-7)
     # 1/sqrt(eta) times the ideal floor
-    assert degraded == pytest.approx(sensitivity(spec, IDEAL, 1e-5) / math.sqrt(0.5), rel=1e-7)
+    assert degraded == pytest.approx(sensitivity(IDEAL.fringe(spec), 1e-5) / math.sqrt(0.5), rel=1e-7)
 
 
 def test_balanced_loss_rescales_the_floor():
     spec = InterferometerSpec(ell=3, mean_photons=10.0)
-    _, best = min_sensitivity(spec, ImperfectionProfile(t_a=0.5, t_b=0.5))
+    _, best = min_sensitivity(ImperfectionProfile(t_a=0.5, t_b=0.5).fringe(spec))
     assert best == pytest.approx(0.037267799624996496, rel=1e-9)
 
 
 def test_min_sensitivity_flat_fringe_has_no_working_point():
     # exp(-2 r_eff) underflows to 0 at r_eff = 400: the fringe is exactly flat
     spec = InterferometerSpec(ell=1, mean_photons=1.0)
-    phi_star, best = min_sensitivity(spec, ImperfectionProfile(dark_rate=400.0))
+    phi_star, best = min_sensitivity(ImperfectionProfile(dark_rate=400.0).fringe(spec))
     assert math.isnan(phi_star)
     assert best == math.inf
     # a subnormal amplitude (r_eff 360 ... 372.5) or decay (N = 1e-310)
@@ -123,17 +142,17 @@ def test_min_sensitivity_flat_fringe_has_no_working_point():
     flat = [(spec, ImperfectionProfile(dark_rate=float(r))) for r in np.arange(360.0, 373.0, 0.5)]
     flat.append((InterferometerSpec(ell=1, mean_photons=1e-310), ImperfectionProfile(dark_rate=0.01)))
     flat.append((InterferometerSpec(ell=1, mean_photons=0.0), ImperfectionProfile(dark_rate=0.01)))
-    for case in flat:
-        phi_star, best = min_sensitivity(*case)
-        assert math.isnan(phi_star) and best == math.inf, case
+    for case_spec, profile in flat:
+        phi_star, best = min_sensitivity(profile.fringe(case_spec))
+        assert math.isnan(phi_star) and best == math.inf, (case_spec, profile)
     for amplitude, decay, floor in ((0.0, 2.0, 0.5), (0.0, 2.0, 1.0), (0.5, 0.0, 0.2), (1.0, 0.0, 0.0)):
         # with headroom and without
         model = FringeModel(amplitude=amplitude, decay=decay, offset=0.3, ell=1, floor=floor)
-        phi_star, best = min_sensitivity_from_fit(model)
+        phi_star, best = min_sensitivity(model)
         assert math.isnan(phi_star) and best == math.inf, model
     # a faint fringe is not flat: eta = 1e-16 leaves no headroom, so its
     # minimum is the floor 1/(4 ell sqrt(a b / 2)) at the peak
-    phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=1e-16))
+    phi_star, best = min_sensitivity(ImperfectionProfile(eta=1e-16).fringe(spec))
     assert phi_star == 0.0
     assert best == pytest.approx(2.5e7, rel=1e-15)
 
@@ -143,16 +162,17 @@ def test_faint_fringe_off_the_peak_has_a_finite_minimum():
     # 1e-15; only an exact zero derivative is stationary
     spec = InterferometerSpec(ell=1, mean_photons=2.0)
     profile = ImperfectionProfile(dark_rate=20.0)
-    phi_star, best = min_sensitivity(spec, profile)
+    model = profile.fringe(spec)
+    phi_star, best = min_sensitivity(model)
     assert 0.0 < phi_star < spec.fringe_period / 2
-    assert best == pytest.approx(min(sensitivity(spec, profile, np.linspace(0.01, 0.7, 2001))), rel=1e-6)
-    assert sensitivity(spec, profile, 0.2) == pytest.approx(7.5e16, rel=0.01)
+    assert best == pytest.approx(min(sensitivity(model, np.linspace(0.01, 0.7, 2001))), rel=1e-6)
+    assert sensitivity(model, 0.2) == pytest.approx(7.5e16, rel=0.01)
 
 
 def test_min_sensitivity_respects_quantum_bound():
     for ell, n in ((1, 1.0), (2, 5.0), (4, 10.0)):
         spec = InterferometerSpec(ell=ell, mean_photons=n)
-        _, best = min_sensitivity(spec, IDEAL)
+        _, best = min_sensitivity(IDEAL.fringe(spec))
         bound = crb_sensitivity(qfi_si(ell, n))
         assert best >= bound * (1.0 - 1e-9)
         assert best / bound == pytest.approx(1.0, rel=1e-6)
@@ -166,7 +186,7 @@ def test_composed_sensitivity_agrees_with_finite_difference():
     d = (parity_expectation(spec, phi + h, profile) - parity_expectation(spec, phi - h, profile)) / (2 * h)
     e = parity_expectation(spec, phi, profile)
     expected = math.sqrt(1.0 - e * e) / abs(d)
-    assert sensitivity(spec, profile, phi) == pytest.approx(expected, rel=1e-7)
+    assert sensitivity(profile.fringe(spec), phi) == pytest.approx(expected, rel=1e-7)
 
 
 ZERO_HEADROOM = {
@@ -186,7 +206,7 @@ def test_zero_headroom_minimum_is_the_floor_at_the_peak(name, ell):
     model = profile.fringe(spec)
     assert model.headroom == 0.0
     floor = 1.0 / (4.0 * ell * math.sqrt(0.5 * model.amplitude * model.decay))
-    assert min_sensitivity(spec, profile) == (0.0, floor)
+    assert min_sensitivity(model) == (0.0, floor)
     # a b / 2 is the detected photon number eta kappa sqrt(t_a t_b) N
     detected = profile.eta * profile.kappa * math.sqrt(profile.t_a * profile.t_b) * n
     assert floor == pytest.approx(1.0 / (4.0 * ell * math.sqrt(detected)), rel=1e-14)
@@ -194,7 +214,7 @@ def test_zero_headroom_minimum_is_the_floor_at_the_peak(name, ell):
     period = spec.fringe_period
     offsets = 10.0 ** np.arange(-9.0, -2.0)
     phi = np.concatenate([np.linspace(0.0, period, 4096, endpoint=False), offsets, -offsets, period - offsets])
-    values = sensitivity(spec, profile, phi)
+    values = sensitivity(model, phi)
     assert np.all(values >= floor * (1.0 - 1e-12))
 
 
@@ -205,7 +225,7 @@ def test_zero_headroom_floor_stays_finite_where_a_b_over_2_underflows(ell, n, et
     spec = InterferometerSpec(ell=ell, mean_photons=n)
     model = ImperfectionProfile(eta=eta).fringe(spec)
     assert model.headroom == 0.0 and 0.5 * model.amplitude * model.decay < sys.float_info.min
-    phi_star, best = min_sensitivity(spec, ImperfectionProfile(eta=eta))
+    phi_star, best = min_sensitivity(model)
     with mpmath.workprec(200):
         exact = 1 / (4 * ell * mpmath.sqrt(mpmath.mpf(model.amplitude) * mpmath.mpf(model.decay) / 2))
         assert phi_star == 0.0
@@ -228,8 +248,9 @@ def test_zero_headroom_floor_stays_finite_where_a_b_over_2_underflows(ell, n, et
 )
 def test_min_sensitivity_off_the_peak_matches_mpmath(profile, phi_ref, best_ref):
     spec = InterferometerSpec(ell=1, mean_photons=2.297)
-    assert profile.fringe(spec).headroom > 0.0
-    phi_star, best = min_sensitivity(spec, profile)
+    model = profile.fringe(spec)
+    assert model.headroom > 0.0
+    phi_star, best = min_sensitivity(model)
     assert best == pytest.approx(best_ref, rel=4e-16, abs=0.0)
     assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
 
@@ -249,9 +270,10 @@ def test_off_peak_minimum_matches_a_brent_search_on_random_profiles():
             dark_rate=float(10.0 ** rng.uniform(-4.0, math.log10(3.0))),
             jitter_factor=float(rng.uniform(1.0, 2.0)),
         )
-        assert profile.fringe(spec).headroom > 0.0
-        phi_ref, best_ref = brent_min_sensitivity(profile.fringe(spec))
-        phi_star, best = min_sensitivity(spec, profile)
+        model = profile.fringe(spec)
+        assert model.headroom > 0.0
+        phi_ref, best_ref = brent_min_sensitivity(model)
+        phi_star, best = min_sensitivity(model)
         assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0), (spec, profile)
         assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8), (spec, profile)
         assert 0.0 < phi_star < spec.fringe_period / 2, (spec, profile)
@@ -265,7 +287,7 @@ def test_off_peak_minimum_within_one_grid_step_of_the_peak():
     model = profile.fringe(spec)
     phi_ref, best_ref = brent_min_sensitivity(model)
     assert 0.0 < phi_ref < model.period / 1024
-    phi_star, best = min_sensitivity(spec, profile)
+    phi_star, best = min_sensitivity(model)
     assert best == pytest.approx(best_ref, rel=1e-15, abs=0.0)
     assert phi_star == pytest.approx(phi_ref, rel=0.0, abs=1e-8)
 
@@ -275,15 +297,14 @@ def test_off_peak_minimum_at_a_decay_near_overflow():
     # bisection runs on u times the slope, which stays finite
     spec = InterferometerSpec(ell=1, mean_photons=2e307)
     profile = ImperfectionProfile(dark_rate=0.01)
-    phi_star, best = min_sensitivity(spec, profile)
+    model = profile.fringe(spec)
+    phi_star, best = min_sensitivity(model)
     assert 0.0 < phi_star < 1e-150
-    assert np.all(best < sensitivity(spec, profile, phi_star * np.array([0.99, 1.01])))
+    assert np.all(best < sensitivity(model, phi_star * np.array([0.99, 1.01])))
     # once 2 ell b passes 1.8e308 the derivative would overflow and read
     # delta_phi 0 off the peak, so the fringe itself is refused
-    spec = InterferometerSpec(ell=4, mean_photons=2e307)
-    for call in (lambda: sensitivity(spec, profile, 1e-160), lambda: min_sensitivity(spec, profile)):
-        with pytest.raises(ValueError, match="decay must be >= 0"):
-            call()
+    with pytest.raises(ValueError, match="decay must be >= 0"):
+        profile.fringe(InterferometerSpec(ell=4, mean_photons=2e307))
 
 
 FIGURE_PROFILES = {

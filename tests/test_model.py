@@ -38,6 +38,13 @@ def test_spec_rejects_negative_mean_photons():
         InterferometerSpec(ell=1, mean_photons=math.nan)
 
 
+@pytest.mark.parametrize("n", [True, False])
+def test_spec_rejects_a_bool_mean_photons(n):
+    # a bool is no photon number, as it is no charge or other integer input
+    with pytest.raises(ValueError, match="mean_photons"):
+        InterferometerSpec(ell=1, mean_photons=n)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import sagnac_parity
 from sagnac_parity import cli, detector, fit, fock, metrics, model, qfi
 
@@ -7,7 +10,6 @@ PUBLIC_NAMES = {
     "InterferometerSpec",
     "ImperfectionProfile",
     "FringeModel",
-    "dark_port_mean",
     "parity_expectation_ideal",
     "parity_expectation_prep",
     "parity_expectation_loss",
@@ -55,7 +57,7 @@ def test_package_namespace_is_the_modules_all_lists():
     names = sagnac_parity.__all__
     modules = (model, fock, metrics, qfi, detector, fit)
     assert names == ["__version__", *(n for m in modules for n in m.__all__), "ExperimentConfig", "run_experiment"]
-    assert len(names) == len(set(names)) == 45
+    assert len(names) == len(set(names)) == 44
     assert set(names) == PUBLIC_NAMES
     for module in modules:
         for name in module.__all__:
@@ -70,3 +72,14 @@ def test_package_namespace_is_the_modules_all_lists():
     exec("from sagnac_parity import *", star)
     assert set(star) - {"__builtins__"} == set(names)
     assert not hasattr(sagnac_parity, "no_such_name")
+
+
+def test_modules_share_only_three_private_helpers():
+    # a private name imported across modules is an API nobody declared: the
+    # shared ones are the integer check, the fringe shape and the Poisson log-weights
+    imported = set()
+    for path in Path(sagnac_parity.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sagnac_parity")):
+                imported |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    assert imported == {"_check_integer", "_shape", "_log_weights"}
