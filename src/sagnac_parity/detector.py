@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImperfectionProfile, _check_integer
+from .model import ImperfectionProfile, _check_integer, _shape
 
 __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan", "credibility"]
 
@@ -86,10 +86,7 @@ class DetectorRun:
 def _click_probability(spec, phi, model):
     # the click law of one unit at angle phi: its light x = kappa N sin^2(2 ell phi)/M and its
     # dark trigger q = r_eff/M give p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    s = float(np.sin(2 * spec.ell * phi))
+    s = float(_shape(phi, 0.0, 0.0, spec.ell)[1])
     x = model.kappa * (spec.mean_photons * s * s) / model.units
     q = model.effective_dark_rate / model.units
     return -math.expm1(-x) + q * math.exp(-x)

@@ -11,11 +11,13 @@ fit recovers the mean photon number at the detector and the effective dark
 rate of the apparatus.
 
 The solver is this module's own: Marquardt-damped Gauss-Newton (SIAM J.
-Appl. Math. 11, 431 (1963)) in the parameters' box.  A parameter on a bound
-where the gradient points out of the box stays there, the others' step is
-clipped into the box, and a step is kept only if it lowers the cost.  It
-stops once a kept step lowers the cost by at most 1e-10 of itself, or once a
-step is at most 1e-14 of the parameters' norm (the stop of noiseless data).
+Appl. Math. 11, 431 (1963)) in the parameters' box, its steps and covariance
+solved in column-scaled coordinates (J^T J at unit diagonal) so that the
+offset's column, growing with ell, cannot swamp the others.  A parameter on
+a bound where the gradient points out of the box stays; the others' step is
+clipped into the box and kept only if it lowers the cost.  It stops once a
+kept step lowers the cost by at most 1e-10 of itself, or once a step is at
+most 1e-14 of the parameters' norm (the stop of noiseless data).
 
 Derived quantities (visibility, width, super-resolution factor) and the
 fitted sensitivity are always recomputed from the fitted model through the
@@ -154,11 +156,6 @@ def _solve(phi, y, sig, ell, floor, max_iter):
     x0 = [a0, b0, phi0]
     lower = [1e-12, 0.0, phi0 - period / 2.0]
     upper = [1.0, 1000.0, phi0 + period / 2.0]
-    if not lower[2] < upper[2]:
-        raise ValueError(
-            f"angles of order {abs(phi0):g} rad are too large to resolve the "
-            f"fringe period {period:g} rad in floating point"
-        )
     if floor == "free":
         x0.append(float(max(y.min(), 0.0)))
         lower.append(0.0)
@@ -197,8 +194,9 @@ def least_squares(fun, x0, jac, bounds, max_nfev):
         g = J.T @ f
         free = ~((x <= lower) & (g > 0) | (x >= upper) & (g < 0))
         A = J[:, free].T @ J[:, free]
+        d = np.sqrt(np.where(np.diag(A) > 0.0, np.diag(A), 1.0))
         step = np.zeros_like(x)
-        step[free] = np.linalg.lstsq(A + damping * np.diag(np.diag(A)), -g[free], rcond=None)[0]
+        step[free] = np.linalg.lstsq(A / np.outer(d, d) + damping * np.eye(d.size), -g[free] / d, rcond=None)[0] / d
         trial = np.clip(x + step, lower, upper)
         f_trial = fun(trial)
         nfev += 1
@@ -228,7 +226,8 @@ def _package(res, ell, floor):
     }
 
     jtj = res.jac.T @ res.jac
-    cov_diag = np.diag(np.linalg.pinv(jtj))
+    d = np.sqrt(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
+    cov_diag = np.diag(np.linalg.pinv(jtj / np.outer(d, d))) / (d * d)
     names = ["amplitude", "decay", "offset"] + (["floor"] if floor == "free" else [])
     stderr = {k: float(math.sqrt(max(v, 0.0))) for k, v in zip(names, cov_diag)}
     if floor == "peak":

@@ -16,7 +16,8 @@ variance 1 - m^2.  :meth:`ImperfectionProfile.fringe` gives its
 parameters under any mix of imperfections, :func:`parity_expectation`
 evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
-``phi`` in radians and is vectorized through numpy.
+``phi`` in radians and is vectorized through numpy.  An angle or offset of
+2^48/ell rad or more, or nan, raises ValueError; floats cannot resolve it.
 """
 from __future__ import annotations
 
@@ -56,9 +57,12 @@ def _check_integer(name, value, low=1, high=None, requirement=None):
 
 
 def _shape(phi, decay, offset, ell):
-    # the fringe's shape from raw parameters: delta = phi - offset,
-    # s = sin(2 ell delta) and exp(-decay s^2).  Nothing is validated, so fit
-    # iterates outside the parity box (amplitude + floor > 1) still evaluate
+    # delta = phi - offset, s = sin(2 ell delta), exp(-decay s^2), also for fit iterates with a + c > 1.  The angle rule
+    # stops where derivative's extremum cut zeroes all slopes, on the raw angles: a small delta of huge ones is no finer
+    big = np.maximum.reduce(np.abs(phi), axis=None, initial=abs(offset))
+    if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
+        raise ValueError(f"angles of order {big:g} rad are too large to resolve the fringe period "
+                         f"{math.pi / (2.0 * ell):g} rad in floating point (phi must be finite)")
     delta = np.asarray(phi, dtype=float) - offset
     s = np.sin(2 * ell * delta)
     return delta, s, np.exp(-decay * s * s)

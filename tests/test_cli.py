@@ -473,6 +473,27 @@ def test_infinite_angle_range_is_a_json_error(capsys):
     assert "must be finite" in json.loads(err)["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["curve", "--phi-min", "1e17", "--phi-max", "1.00000001e17"],  # the sine is rounding noise
+    ["metrics", "--table", "sensitivity", "--phi-min", "1e16", "--phi-max", "2e16"],  # every slope is cut to 0
+    ["curve", "--phi-min", "1e308", "--phi-max", "1.7e308"],  # 2 ell phi overflows
+])
+def test_angles_the_floats_cannot_resolve_are_a_json_error(capsys, argv):
+    rc, out, err = _run([*argv, "--ell", "1", "--n", "2", "--points", "3"], capsys)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    assert "too large to resolve the fringe period 1.5708 rad" in json.loads(err)["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_offset_the_floats_cannot_resolve_is_a_json_error(tmp_path, capsys):
+    # the detector's click law would see sin(inf) = nan
+    rc, out, err = _run(["experiment", "--offset", "1e308", "--output-dir", str(tmp_path / "run")], capsys)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    assert "angles of order 1e+308 rad" in json.loads(err)["error"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_environment_variable_sets_the_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAGNAC_PARITY_SEED", "11")
     base = ["experiment", "--points", "12", "--trials", "400", "--units", "64",

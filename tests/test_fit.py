@@ -301,6 +301,44 @@ def test_rejects_data_that_overflow_the_fit():
         fit_fringe(np.column_stack([phi, np.linspace(0.0, 1.0, 8), np.full(8, 1e-300)]), ell=1)
 
 
+def _sharp_fringe(ell, points=40, sigma=1e-3):
+    # a noiseless fringe over one period, with the offset column of the
+    # Jacobian growing with ell against the amplitude and decay columns
+    truth = FringeModel(amplitude=0.9, decay=4.0, offset=0.3 * math.pi / (2 * ell), ell=ell)
+    phi = _period_grid(truth, points)
+    return np.column_stack([phi, truth(phi), np.full(points, sigma)])
+
+
+@pytest.mark.parametrize("ell", [10**6, 10**7, 10**8, 10**12])
+def test_recovers_a_fringe_at_large_ell(ell):
+    # from ell = 1e7 on, steps solved in unscaled coordinates lose the amplitude
+    # and decay directions to lstsq's cutoff and stop, as converged, near decay 3.2
+    result = fit_fringe(_sharp_fringe(ell), ell=ell)
+    assert result.model.amplitude == pytest.approx(0.9, rel=1e-9)
+    assert result.model.decay == pytest.approx(4.0, rel=1e-9)
+    assert result.residual_rms < 1e-6
+    # the samples sit at the same phases of the fringe at every ell, so the standard
+    # errors are ell = 1's, the offset's over ell; an unscaled pinv misses them from 1e6 on
+    ref = fit_fringe(_sharp_fringe(1), ell=1).param_stderr
+    assert result.param_stderr["amplitude"] == pytest.approx(ref["amplitude"], rel=1e-6)
+    assert result.param_stderr["decay"] == pytest.approx(ref["decay"], rel=1e-6)
+    assert result.param_stderr["offset"] * ell == pytest.approx(ref["offset"], rel=1e-6)
+
+
+def test_a_fringe_whose_jacobian_overflows_is_refused():
+    # at ell = 1e155 the offset column's square passes the float range
+    with pytest.raises(ValueError, match="the data overflow the fit's arithmetic"):
+        fit_fringe(_sharp_fringe(10**155), ell=10**155)
+
+
+def test_experiment_n_bar_does_not_depend_on_ell(tmp_path):
+    # one seed draws the same counts at every ell over one period, so the fits agree
+    docs = [run_experiment(ExperimentConfig(ell=ell, points=24, trials_per_point=20000, offset=0.0,
+                                            output_dir=str(tmp_path / str(ell))))
+            for ell in (10**4, 10**6)]
+    assert docs[1]["derived"]["n_bar"] == pytest.approx(docs[0]["derived"]["n_bar"], rel=1e-9)
+
+
 @pytest.mark.parametrize("max_iter", [2.5, True, "5", 0, -1, None])
 def test_rejects_bad_iteration_caps(max_iter):
     # 2.5 used to run without end; None used to mean the solver's own default

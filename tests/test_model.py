@@ -16,6 +16,7 @@ from sagnac_parity import (
     parity_expectation_loss,
     parity_expectation_prep,
     parity_sum,
+    sensitivity,
 )
 
 
@@ -209,3 +210,20 @@ def test_fringe_falls_away_from_peak():
     phi = np.linspace(0, math.pi / 8, 40)
     values = parity_expectation_ideal(spec, phi)
     assert np.all(np.diff(values) < 0)
+
+
+@pytest.mark.parametrize("ell", [1, 4])
+def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
+    # past 4 ell |phi| = 2^50 the derivative's extremum cut zeroes every slope:
+    # the fringe evaluates just below the edge and is refused at it, as are a
+    # nan phi and a huge offset, wherever the fringe is evaluated
+    spec = InterferometerSpec(ell=ell, mean_photons=2.0)
+    edge = 2**48 / ell
+    assert 0.0 <= parity_expectation(spec, math.nextafter(edge, 0), ImperfectionProfile()) <= 1.0
+    for phi in (edge, -edge, np.array([0.0, edge])):
+        with pytest.raises(ValueError, match="too large to resolve the fringe period"):
+            parity_expectation(spec, phi, ImperfectionProfile())
+    with pytest.raises(ValueError, match="phi must be finite"):
+        sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), math.nan)
+    with pytest.raises(ValueError, match="angles of order 1e\\+300 rad"):
+        FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(0.0)

@@ -172,7 +172,15 @@ def _error_calls():
     calls += [_call(f"error-config-{name}", "curve", "--config", "cfg.json", files={"cfg.json": text})
               for name, text in configs.items()]
     calls.append(_call("error-seed-env", "experiment", *_SMALL_RUN, env={"SAGNAC_PARITY_SEED": "1.5"}))
-    return calls
+    # angles from 2^48/ell rad on, where the floats cannot resolve the fringe period
+    angles = {
+        "curve-noise": ["curve", *fringe, "--phi-min", "1e17", "--phi-max", "1.00000001e17", "--points", "3"],
+        "sensitivity-inf": ["metrics", "--table", "sensitivity", *fringe, "--phi-min", "1e16", "--phi-max", "2e16",
+                            "--points", "3"],
+        "curve-nan": ["curve", *fringe, "--phi-min", "1e308", "--phi-max", "1.7e308", "--points", "3"],
+        "experiment-offset": ["experiment", "--offset", "1e308"],
+    }
+    return calls + [_call(f"angle-{name}", *argv) for name, argv in angles.items()]
 
 
 def _cap_calls():
@@ -196,6 +204,8 @@ def _experiment_calls():
         _call("experiment-default", "experiment", "--output-dir", "out"),
         _call("experiment-4-points", "experiment", "--points", "4", "--trials", "1000", "--units", "64"),
         _call("experiment-small", "experiment", *_SMALL_RUN, "--prefix", "small"),
+        _call("experiment-ell-1e6", "experiment", "--ell", "1000000", "--points", "24", "--trials", "20000",
+              "--offset", "0"),
         _call("experiment-seed-env", "experiment", *_SMALL_RUN, env={"SAGNAC_PARITY_SEED": "11"}),
         _call("experiment-config", "experiment", "--config", "cfg.json",
               files={"cfg.json": json.dumps({"points": 16, "trials": 2000, "units": 256, "dark_rate": 0.1,
