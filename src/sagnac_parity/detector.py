@@ -58,6 +58,7 @@ class DetectorModel:
 
     def __post_init__(self):
         _check_integer("units", self.units)
+        _check_integer("units", self.units, 1, 2**63, "below 2**63")  # numpy draws take a C long
         # the profile's range checks, and their messages, are the array's
         ImperfectionProfile(kappa=self.kappa, dark_rate=self.dark_rate, jitter_factor=self.jitter_factor)
         _check_integer("seed", self.seed, 0, 2**64, "an unsigned 64-bit integer")

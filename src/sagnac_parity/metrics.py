@@ -61,6 +61,8 @@ class ParityCurve:
         val = np.asarray(self.values, dtype=float)
         if phi.ndim != 1 or phi.shape != val.shape or phi.size < 2:
             raise ValueError("phi_grid and values must be matching 1-D arrays")
+        if not (np.isfinite(phi).all() and np.isfinite(val).all()):
+            raise ValueError("phi_grid and values must be finite")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi_grid must be strictly increasing")
         # exact zeros are kept: a deep fringe underflows at its trough
@@ -160,8 +162,6 @@ def visibility(curve, period=None):
 def _cross(phis, vals, j, k, level):
     # linear interpolation of the level crossing between samples j and k
     v0, v1 = vals[j], vals[k]
-    if v1 == v0:
-        return float(phis[j])
     t = (level - v0) / (v1 - v0)
     return float(phis[j] + t * (phis[k] - phis[j]))
 
@@ -180,9 +180,10 @@ def fwhm(curve, floor=None):
     vals = curve.values
     phis = curve.phi_grid
     peak = float(vals.max())
-    if not floor < peak:
-        raise ValueError("floor is not below the curve maximum")
     level = floor + 0.5 * (peak - floor)
+    # a level that rounds onto the floor or the peak has no crossing between samples
+    if not floor < level < peak:
+        raise ValueError("floor is not below the curve maximum by more than rounding")
     i = int(np.argmax(vals))
     j = i
     while j > 0 and vals[j] > level:

@@ -119,18 +119,18 @@ class FringeModel:
         _check_integer("ell", self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
-        if not (self.amplitude >= 0.0):
+        if isinstance(self.amplitude, bool) or not (self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not (self.decay >= 0.0 and math.isfinite(self.decay)):
+        if isinstance(self.decay, bool) or not (self.decay >= 0.0 and math.isfinite(self.decay)):
             raise ValueError(f"decay must be >= 0 and finite, got {self.decay}")
         # 2 ell decay is the slope's first factor; past the float range delta_phi reads 0 or nan
         if not math.isfinite(2.0 * self.ell * self.decay):
             raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {self.ell}")
-        if not (self.floor >= 0.0):
+        if isinstance(self.floor, bool) or not (self.floor >= 0.0):
             raise ValueError(f"floor must be >= 0, got {self.floor}")
         if self.amplitude + self.floor > 1.0 + 1e-12:
             raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
-        if not math.isfinite(self.offset):
+        if isinstance(self.offset, bool) or not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
         object.__setattr__(self, "headroom", max(1.0 - self.amplitude - self.floor, 0.0))
 
@@ -188,11 +188,11 @@ class ImperfectionProfile:
     def __post_init__(self):
         for name in ("eta", "t_a", "t_b", "kappa"):
             v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
+            if isinstance(v, bool) or not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if not (self.dark_rate >= 0.0 and math.isfinite(self.dark_rate)):
+        if isinstance(self.dark_rate, bool) or not (0.0 <= self.dark_rate < math.inf):
             raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate}")
-        if not (self.jitter_factor >= 1.0 and math.isfinite(self.jitter_factor)):
+        if isinstance(self.jitter_factor, bool) or not (1.0 <= self.jitter_factor < math.inf):
             raise ValueError(f"jitter_factor must be >= 1, got {self.jitter_factor}")
 
     @property

@@ -5,8 +5,8 @@ generator.  The Sagnac loop doubles the Dove-prism phase between the
 counter-propagating directions (generator 4*ell*Jz), giving F = 16 ell^2 N;
 a single-prism Mach-Zehnder carries half the phase (generator 2*ell*n_a)
 and F = 8 ell^2 N.  Averaging the Mach-Zehnder over an unknown reference
-phase leaves the photon-number-diagonal part only, F = sum_n p_n 4 ell^2 n,
-which this module evaluates as an explicit truncated sum.
+phase leaves the photon-number-diagonal part only, the Poisson mean
+F = sum_n p_n 4 ell^2 n = 4 ell^2 N.
 """
 from __future__ import annotations
 
@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .fock import FockTruncation, _log_weights
 from .model import InterferometerSpec, _check_integer
 
 __all__ = [
@@ -48,20 +45,10 @@ def qfi_mzi(ell, mean_photons):
     return 8.0 * ell * ell * mean_photons
 
 
-def qfi_mzi_phase_averaged(ell, mean_photons, trunc=None):
-    """Phase-averaged Mach-Zehnder QFI as the truncated sum 4 ell^2 sum_n p_n n.
-
-    ``trunc`` bounds the Poisson lattice; the result sits within
-    4 ell^2 N * (tail mass) of the closed form 4 ell^2 N.
-    """
+def qfi_mzi_phase_averaged(ell, mean_photons):
+    """QFI of the phase-averaged Mach-Zehnder, the Poisson mean sum_n p_n 4 ell^2 n = 4 ell^2 N."""
     InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
-    if trunc is None:
-        trunc = FockTruncation.for_mean_photons(mean_photons)
-    else:
-        trunc.check_valid_for(mean_photons)
-    ns = np.arange(trunc.n_max + 1)
-    p = np.exp(_log_weights(trunc.n_max, mean_photons) - mean_photons)
-    return 4.0 * ell * ell * float(np.dot(p, ns))
+    return 4.0 * ell * ell * mean_photons
 
 
 def crb_sensitivity(fisher_information, trials=1):

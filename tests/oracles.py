@@ -55,3 +55,23 @@ def scipy_least_squares(fun, x0, jac, bounds, max_nfev):
     return least_squares(
         fun, x0, jac=jac, bounds=bounds, method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=max_nfev
     )
+
+
+def poisson_cutoff(mean, tail):
+    """Least n_max whose cut Poisson tail P(n >= n_max) is at most ``tail``, by scipy."""
+    from scipy.stats import poisson
+
+    return int(poisson.isf(tail, mean)) + 1
+
+
+def phase_averaged_qfi_sum(ell, mean_photons, n_max):
+    """Phase-averaged Mach-Zehnder QFI as the explicit sum 4 ell^2 sum_{n <= n_max} p_n n.
+
+    The Poisson weights are scipy's, not the package's Fock lattice.  The
+    sum rises with n_max towards the closed form 4 ell^2 N, short of it by
+    4 ell^2 N P(n >= n_max), as n p_n(N) = N p_{n-1}(N).
+    """
+    from scipy.stats import poisson
+
+    ns = np.arange(n_max + 1)
+    return 4.0 * ell * ell * float(np.dot(poisson.pmf(ns, mean_photons), ns))

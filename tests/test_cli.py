@@ -216,6 +216,21 @@ def test_qfi_row(capsys):
     assert int(row["trials"]) == 1
 
 
+def test_qfi_row_past_the_fock_lattice(capsys):
+    # every column is a closed form, so no photon-number cutoff limits N
+    rc, out, err = _run(["qfi", "--ell", "1", "--n", "300"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["f_phase_avg"]) == 1200.0
+    assert float(row["bound_phase_avg"]) == 1.0 / math.sqrt(1200.0)
+    rc, out, err = _run(["qfi", "--ell", "1", "--n", "1e307"], capsys)
+    assert rc == 0 and all(math.isfinite(float(v)) for v in _table(out)[1][0])
+    rc, out, err = _run(["qfi", "--ell", "1", "--n", "1e308"], capsys)
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ['{"error": "Fisher information must be finite, got inf"}']
+
+
 def test_qfi_bound_scales_with_repetitions(capsys):
     rc, out, err = _run(["qfi", "--ell", "1", "--n", "1", "--trials", "4"], capsys)
     header, rows = _table(out)
@@ -598,9 +613,8 @@ def test_cli_import_loads_no_scipy():
 )
 def test_subcommands_load_only_the_scipy_they_run(argv, tmp_path):
     # no subcommand loads scipy: an off-peak minimum is a scalar bisection,
-    # qfi's phase-averaged sum and its truncation read the Fock lattice's numpy
-    # Poisson law, and the fit is the package's own least squares.  Each call
-    # runs in tmp_path, where experiment writes its files
+    # qfi's three columns are closed forms, and the fit is the package's own
+    # least squares.  Each call runs in tmp_path, where experiment writes its files
     loaded = _modules_after(f"import os\nos.chdir({str(tmp_path)!r})\nfrom sagnac_parity.cli import main\nmain({argv!r})")
     assert not _loads(loaded, "scipy")
 

@@ -157,6 +157,12 @@ def test_model_validation():
     # a bool is not an integer input; the seed spans the unsigned 64-bit range
     with pytest.raises(ValueError, match="units"):
         DetectorModel(units=True)
+    with pytest.raises(ValueError, match="kappa"):
+        DetectorModel(kappa=True)
+    # numpy draws the click counts with a C long
+    with pytest.raises(ValueError, match=r"units must be below 2\*\*63"):
+        DetectorModel(units=2**63)
+    assert simulate(InterferometerSpec(ell=1, mean_photons=1.0), 0.1, DetectorModel(units=2**63 - 1), 3).trials == 3
     with pytest.raises(ValueError, match="seed"):
         DetectorModel(seed=False)
     with pytest.raises(ValueError, match="seed"):

@@ -413,6 +413,11 @@ def test_fwhm_raises_when_fringe_never_reaches_half_level():
         fwhm(rising)
     with pytest.raises(ValueError, match="floor is not below the curve maximum"):
         fwhm(rising, floor=1.0)
+    # a floor within rounding of the peak puts the half level on the peak itself
+    for values in ([0.2, 0.5, 1.0], [1.0, 0.5, 0.2], [0.2, 1.0, 1.0, 0.2], [0.2, 1.0, 0.2]):
+        curve = ParityCurve(phi_grid=np.arange(len(values), dtype=float), values=np.array(values))
+        with pytest.raises(ValueError, match="floor is not below the curve maximum"):
+            fwhm(curve, floor=math.nextafter(1.0, 0.0))
 
 
 def test_fwhm_is_floor_referenced_for_prep_offset():
@@ -471,6 +476,10 @@ def test_parity_curve_validation():
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, -0.1]))
     with pytest.raises(ValueError, match="zero everywhere"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))
+    for grid, values in (([0.0, 1.0, 2.0], [math.nan, 0.5, 1.0]), ([0.0, math.nan, 2.0], [0.2, 0.5, 1.0]),
+                         ([0.0, 1.0, math.inf], [0.2, 0.5, 1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            ParityCurve(phi_grid=np.array(grid), values=np.array(values))
     # a fringe that underflows at its trough is still a curve
     curve = ParityCurve(phi_grid=np.array([0.0, 0.5, 1.0]), values=np.array([1.0, 0.0, 1.0]))
     assert visibility(curve, period=1.0) == 1.0

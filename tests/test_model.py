@@ -57,6 +57,11 @@ def test_spec_rejects_a_bool_mean_photons(n):
         ({"decay": math.inf}, "decay must be >= 0"),
         # 2 ell decay, the slope's factor, overflows; decay 5e307 at ell 1 is fine
         ({"decay": 5e307, "ell": 2}, "decay must be >= 0"),
+        # a bool is no real parameter, as it is no integer input in _check_integer
+        ({"amplitude": True}, "amplitude must be >= 0"),
+        ({"decay": False}, "decay must be >= 0"),
+        ({"floor": False}, "floor must be >= 0"),
+        ({"offset": False}, "offset must be finite"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
@@ -65,9 +70,14 @@ def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
         FringeModel(**params)
 
 
-@pytest.mark.parametrize("kwargs", [{"eta": 0.0}, {"eta": 1.2}, {"t_a": 0.0}, {"kappa": -0.1}, {"dark_rate": -1.0}, {"jitter_factor": 0.5}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eta": 0.0}, {"eta": 1.2}, {"t_a": 0.0}, {"kappa": -0.1}, {"dark_rate": -1.0}, {"jitter_factor": 0.5},
+     {"eta": True}, {"t_a": True}, {"t_b": True}, {"kappa": True}, {"dark_rate": True}, {"dark_rate": False},
+     {"jitter_factor": True}],
+)
 def test_profile_rejects_out_of_range_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
         ImperfectionProfile(**kwargs)
 
 

@@ -74,12 +74,12 @@ def test_package_namespace_is_the_modules_all_lists():
     assert not hasattr(sagnac_parity, "no_such_name")
 
 
-def test_modules_share_only_three_private_helpers():
+def test_modules_share_only_two_private_helpers():
     # a private name imported across modules is an API nobody declared: the
-    # shared ones are the integer check, the fringe shape and the Poisson log-weights
+    # shared ones are the integer check and the fringe shape
     imported = set()
     for path in Path(sagnac_parity.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sagnac_parity")):
                 imported |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert imported == {"_check_integer", "_shape", "_log_weights"}
+    assert imported == {"_check_integer", "_shape"}

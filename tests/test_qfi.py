@@ -1,9 +1,9 @@
 import math
 
 import pytest
+from scipy import stats
 
 from sagnac_parity import (
-    FockTruncation,
     QfiProtocol,
     QfiReport,
     crb_sensitivity,
@@ -12,6 +12,8 @@ from sagnac_parity import (
     qfi_report,
     qfi_si,
 )
+
+from oracles import phase_averaged_qfi_sum, poisson_cutoff
 
 
 @pytest.mark.parametrize(
@@ -25,13 +27,14 @@ def test_closed_form_fisher_information(ell, n, expected_si, expected_mzi):
 
 
 def test_phase_averaged_fisher_information_frozen_values():
-    assert qfi_mzi_phase_averaged(1, 1.0) == pytest.approx(3.9999999999819207, rel=1e-12)
-    assert qfi_mzi_phase_averaged(1, 2.297) == pytest.approx(9.187999999937587, rel=1e-12)
+    assert qfi_mzi_phase_averaged(1, 1.0) == 4.0
+    assert qfi_mzi_phase_averaged(1, 2.297) == 4.0 * 2.297
 
 
 def test_phase_averaged_sum_converges_to_closed_form():
     for n in (1.0, 5.0, 10.0, 20.0):
-        assert qfi_mzi_phase_averaged(1, n) == pytest.approx(4.0 * n, abs=1e-9)
+        oracle = phase_averaged_qfi_sum(1, n, poisson_cutoff(n, 1e-12))
+        assert qfi_mzi_phase_averaged(1, n) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_phase_averaged_scales_with_charge_squared():
@@ -41,9 +44,20 @@ def test_phase_averaged_scales_with_charge_squared():
 
 
 def test_phase_averaged_sum_is_monotone_in_cutoff():
-    coarse = qfi_mzi_phase_averaged(1, 3.0, trunc=FockTruncation(n_max=5, tail_bound=0.5))
-    finer = qfi_mzi_phase_averaged(1, 3.0, trunc=FockTruncation(n_max=10, tail_bound=0.5))
-    assert coarse < finer < 12.0
+    coarse = phase_averaged_qfi_sum(1, 3.0, 5)
+    finer = phase_averaged_qfi_sum(1, 3.0, 10)
+    assert coarse < finer < qfi_mzi_phase_averaged(1, 3.0) == 12.0
+
+
+@pytest.mark.parametrize("ell,n", [(1, 1.0), (2, 2.297), (3, 20.0), (1, 300.0)])
+@pytest.mark.parametrize("tail", [1e-3, 1e-6])
+def test_phase_averaged_sum_falls_short_by_at_most_its_tail(ell, n, tail):
+    # the sum cut after n_max misses 4 ell^2 sum_{n > n_max} n p_n = 4 ell^2 N P(n >= n_max)
+    n_max = poisson_cutoff(n, tail)
+    assert stats.poisson.sf(n_max - 1, n) <= tail
+    closed = qfi_mzi_phase_averaged(ell, n)
+    gap = closed - phase_averaged_qfi_sum(ell, n, n_max)
+    assert 0.0 <= gap <= closed * (tail + 1e-13)
 
 
 def test_phase_averaging_costs_a_factor_of_two():

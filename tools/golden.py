@@ -185,8 +185,9 @@ def _error_calls():
 
 def _cap_calls():
     # sizes far past any cap: without one they end in numpy's allocator.  Then
-    # qfi at the Fock truncation's cap of 400 photons: mean 250 still certifies
-    # its tail (at 369 photons), mean 300 is refused with the tail the cap reached
+    # qfi, whose closed forms no photon-number cutoff limits: means 250 and 300,
+    # either side of where the Fock lattice's 400-photon cap would stop a tail
+    # sum, 1e307, whose 16 ell^2 N is still finite, and 1e308, whose is not
     fringe = ["--ell", "1", "--n", "2"]
     return [
         _call("cap-curve-points", "curve", *fringe, "--points", "1000000000000"),
@@ -196,6 +197,8 @@ def _cap_calls():
         _call("cap-experiment-points", "experiment", "--points", "1000000000000"),
         _call("cap-qfi-n-250", "qfi", "--ell", "1", "--n", "250"),
         _call("cap-qfi-n-300", "qfi", "--ell", "1", "--n", "300"),
+        _call("qfi-n-1e307", "qfi", "--ell", "1", "--n", "1e307"),
+        _call("qfi-n-1e308", "qfi", "--ell", "1", "--n", "1e308"),
     ]
 
 
