@@ -35,7 +35,7 @@ import numpy as np
 from . import metrics, qfi
 from .detector import DetectorModel, scan
 from .fit import error_bars, fit_fringe
-from .model import ImperfectionProfile, InterferometerSpec, _check_integer, parity_expectation
+from .model import ImperfectionProfile, InterferometerSpec, _check_integer, _check_real, parity_expectation
 
 __all__ = ["ExperimentConfig", "run_experiment", "main", "DEFAULT_EXPERIMENT_SEED"]
 
@@ -103,10 +103,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         jitter_factor=config.jitter_factor,
         seed=config.seed,
     )
-    if spec.mean_photons <= 0:
-        raise ValueError(f"mean_photons must be > 0, got {spec.mean_photons!r}")
-    if not math.isfinite(config.offset):
-        raise ValueError(f"offset must be finite, got {config.offset!r}")
+    _check_real("mean_photons", spec.mean_photons, lambda n: n > 0, "> 0")
+    _check_real("offset", config.offset)
     # the fit needs at least as many points as its four parameters
     _check_integer("points", config.points, low=4)
     _check_integer("trials", config.trials_per_point)

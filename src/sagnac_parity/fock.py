@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_integer
+from .model import _check_integer, _check_real
 
 __all__ = [
     "TruncationError",
@@ -51,8 +51,7 @@ def _poisson_tails(mean, n_max):
     # P(X > n) for n = 0..n_max, X ~ Poisson(mean): the pmf summed from the far end down,
     # positive terms only, so nothing cancels.  The far end lies past the mean, its term below
     # 1e-17 of the tail above n_max.  If 0..n_max holds under 1e-17 of the mass, every tail is 1
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise ValueError(f"mean_photons must be >= 0 and finite, got {mean!r}")
+    _check_real("mean_photons", mean, lambda m: 0.0 <= m < math.inf, ">= 0 and finite")
     end = n_max + 64
     while True:
         pmf = np.exp(_log_weights(end, mean) - mean)
@@ -64,11 +63,11 @@ def _poisson_tails(mean, n_max):
         end *= 2
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _tail_beyond(mean, n_max):
     # P(X > n_max), X ~ Poisson(mean), once per (mean, n_max): a cross-check certifies one
     # truncation for one mean on every lattice it builds.  A bad mean raises, and lru_cache
-    # stores no exception, so it raises on every call
+    # stores no exception, so it raises on every call; typed, so True never hits 1.0's entry
     return float(_poisson_tails(mean, n_max)[-1])
 
 
@@ -97,8 +96,7 @@ class FockTruncation:
 
     def __post_init__(self):
         _check_integer("n_max", self.n_max)
-        if not (0.0 < self.tail_bound < 1.0):
-            raise ValueError(f"tail_bound must be in (0, 1), got {self.tail_bound!r}")
+        _check_real("tail_bound", self.tail_bound, lambda t: 0.0 < t < 1.0, "in (0, 1)")
 
     @classmethod
     def for_mean_photons(cls, mean_photons, tail_bound=1e-12):
@@ -159,8 +157,8 @@ def attenuated_joint_distribution(spec, phi, t_a, t_b, trunc):
     used by the closed-form model, so this remains an independent check.
     A uniform detector efficiency kappa is the special case t_a = t_b = kappa.
     """
-    if not (0.0 <= t_a <= 1.0 and 0.0 <= t_b <= 1.0):
-        raise ValueError("transmissions must lie in [0, 1]")
+    for name, t in (("t_a", t_a), ("t_b", t_b)):
+        _check_real(name, t, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     trunc.check_valid_for(spec.mean_photons)
     alpha = math.sqrt(spec.mean_photons)
     rot = cmath.exp(2j * spec.ell * phi)

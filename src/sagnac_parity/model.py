@@ -16,8 +16,9 @@ variance 1 - m^2.  :meth:`ImperfectionProfile.fringe` gives its
 parameters under any mix of imperfections, :func:`parity_expectation`
 evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
-``phi`` in radians and is vectorized through numpy.  An angle or offset of
-2^48/ell rad or more, or nan, raises ValueError; floats cannot resolve it.
+``phi`` in radians and is vectorized through numpy.  Three rules refuse an input
+with a ValueError naming it: ``_check_integer`` for integers, ``_check_real`` for
+reals (never a bool), ``_shape`` for angles of 2^48/ell rad or more, or nan.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ __all__ = [
 # can get to it, and the sine there is rounding noise.
 _EXTREMUM_ROUNDING = 4.0 * np.finfo(float).eps
 
+_REALS = (float, int, np.floating, np.integer)
+
 
 def _check_integer(name, value, low=1, high=None, requirement=None):
     # one check for every integer input: a Python or numpy integer, never a
@@ -54,6 +57,13 @@ def _check_integer(name, value, low=1, high=None, requirement=None):
         or (high is not None and value >= high)
     ):
         raise ValueError(f"{name} must be {requirement or f'an integer >= {low}'}, got {value!r}")
+
+
+def _check_real(name, value, within=math.isfinite, requirement="finite"):
+    # one check for every real input: a Python or numpy real, never a bool of either kind,
+    # for which within(value) holds; the message names the input and its range
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not within(value):
+        raise ValueError(f"{name} must be {requirement}, got {value}")
 
 
 def _shape(phi, decay, offset, ell):
@@ -85,12 +95,8 @@ class InterferometerSpec:
 
     def __post_init__(self):
         _check_integer("ell", self.ell)
-        n = self.mean_photons
-        # a bool is no photon number, as it is no integer input in _check_integer
-        if isinstance(n, bool) or not (isinstance(n, (int, float, np.floating, np.integer)) and math.isfinite(n)):
-            raise ValueError(f"mean_photons must be finite, got {n!r}")
-        if n < 0:
-            raise ValueError(f"mean_photons must be >= 0, got {n}")
+        _check_real("mean_photons", self.mean_photons)
+        _check_real("mean_photons", self.mean_photons, lambda n: n >= 0, ">= 0")
 
     @property
     def fringe_period(self) -> float:
@@ -119,19 +125,15 @@ class FringeModel:
         _check_integer("ell", self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
-        if isinstance(self.amplitude, bool) or not (self.amplitude >= 0.0):
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if isinstance(self.decay, bool) or not (self.decay >= 0.0 and math.isfinite(self.decay)):
-            raise ValueError(f"decay must be >= 0 and finite, got {self.decay}")
+        _check_real("amplitude", self.amplitude, lambda a: a >= 0.0, ">= 0")
+        _check_real("decay", self.decay, lambda b: 0.0 <= b < math.inf, ">= 0 and finite")
         # 2 ell decay is the slope's first factor; past the float range delta_phi reads 0 or nan
         if not math.isfinite(2.0 * self.ell * self.decay):
             raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {self.ell}")
-        if isinstance(self.floor, bool) or not (self.floor >= 0.0):
-            raise ValueError(f"floor must be >= 0, got {self.floor}")
+        _check_real("floor", self.floor, lambda c: c >= 0.0, ">= 0")
         if self.amplitude + self.floor > 1.0 + 1e-12:
             raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
-        if isinstance(self.offset, bool) or not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
+        _check_real("offset", self.offset)
         object.__setattr__(self, "headroom", max(1.0 - self.amplitude - self.floor, 0.0))
 
     @property
@@ -187,13 +189,9 @@ class ImperfectionProfile:
 
     def __post_init__(self):
         for name in ("eta", "t_a", "t_b", "kappa"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if isinstance(self.dark_rate, bool) or not (0.0 <= self.dark_rate < math.inf):
-            raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate}")
-        if isinstance(self.jitter_factor, bool) or not (1.0 <= self.jitter_factor < math.inf):
-            raise ValueError(f"jitter_factor must be >= 1, got {self.jitter_factor}")
+            _check_real(name, getattr(self, name), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        _check_real("dark_rate", self.dark_rate, lambda r: 0.0 <= r < math.inf, "finite and >= 0")
+        _check_real("jitter_factor", self.jitter_factor, lambda j: 1.0 <= j < math.inf, ">= 1")
 
     @property
     def effective_dark_rate(self) -> float:

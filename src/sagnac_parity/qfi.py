@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import InterferometerSpec, _check_integer
+from .model import InterferometerSpec, _check_integer, _check_real
 
 __all__ = [
     "QfiProtocol",
@@ -52,15 +52,14 @@ def qfi_mzi_phase_averaged(ell, mean_photons):
 
 
 def crb_sensitivity(fisher_information, trials=1):
-    """Cramer-Rao bound 1/sqrt(trials * F); zero information diverges to +inf."""
+    """Cramer-Rao bound 1/sqrt(trials * F), finite also where trials * F overflows; zero F gives +inf."""
     _check_integer("trials", trials)
-    if not math.isfinite(fisher_information):
-        raise ValueError(f"Fisher information must be finite, got {fisher_information!r}")
-    if fisher_information < 0:
-        raise ValueError("Fisher information cannot be negative")
+    _check_real("Fisher information", fisher_information)
+    _check_real("Fisher information", fisher_information, lambda f: f >= 0, ">= 0")
     if fisher_information == 0:
         return math.inf
-    return 1.0 / math.sqrt(trials * fisher_information)
+    product = trials * float(fisher_information)  # past the float range, take each factor's root
+    return 1.0 / (math.sqrt(product) if product < math.inf else math.sqrt(trials) * math.sqrt(fisher_information))
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,11 @@ def test_model_validation():
         DetectorModel(units=True)
     with pytest.raises(ValueError, match="kappa"):
         DetectorModel(kappa=True)
+    # nor is a numpy bool, a string or None a real input; the profile's rule refuses them
+    for field, value in (("kappa", np.True_), ("dark_rate", np.True_), ("dark_rate", np.False_),
+                         ("jitter_factor", np.True_), ("kappa", "0.5"), ("dark_rate", None)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            DetectorModel(**{field: value})
     # numpy draws the click counts with a C long
     with pytest.raises(ValueError, match=r"units must be below 2\*\*63"):
         DetectorModel(units=2**63)

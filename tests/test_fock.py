@@ -47,8 +47,10 @@ def test_truncation_rejects_a_cutoff_that_is_not_a_positive_integer(n_max):
         (lambda: FockTruncation(n_max=3, tail_bound=0.0), "tail_bound must be in"),
         (lambda: FockTruncation(n_max=3, tail_bound=1.0), "tail_bound must be in"),
         (lambda: FockTruncation.for_mean_photons(-1.0), "mean_photons must be >= 0"),
+        (lambda: FockTruncation(n_max=3, tail_bound="1e-12"), "tail_bound must be in"),
+        (lambda: FockTruncation.for_mean_photons(None), "mean_photons must be >= 0"),
     ],
-    ids=["tail-0", "tail-1", "negative-mean"],
+    ids=["tail-0", "tail-1", "negative-mean", "tail-str", "none-mean"],
 )
 def test_truncation_rejects_out_of_range_inputs(build, message):
     with pytest.raises(ValueError, match=message):
@@ -104,10 +106,12 @@ def test_truncation_error_at_the_cap_reports_the_deepest_tail():
         FockTruncation.for_mean_photons(1e9)
 
 
-@pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf, np.True_], ids=["negative", "nan", "inf", "numpy-true"])
 def test_truncation_rejects_a_mean_that_is_negative_or_not_finite(mean):
     with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
         FockTruncation.for_mean_photons(mean)
+    # a certificate cached for the mean 1.0 certifies no bool equal to it
+    FockTruncation(n_max=20).check_valid_for(1.0)
     with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
         FockTruncation(n_max=20).check_valid_for(mean)
 
@@ -205,6 +209,11 @@ def test_attenuated_rejects_transmission_above_one():
     spec = InterferometerSpec(ell=1, mean_photons=2.0)
     with pytest.raises(ValueError):
         attenuated_joint_distribution(spec, 0.1, 1.2, 0.5, _trunc(2.0))
+    # the message names the transmission; a bool of either kind, a string or None is none
+    for t_a, t_b, name in ((0.5, 1.5, "t_b"), (True, 0.5, "t_a"), (0.1, np.True_, "t_b"), ("0.5", 0.5, "t_a"),
+                           (0.5, None, "t_b")):
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\], got"):
+            attenuated_joint_distribution(spec, 0.1, t_a, t_b, _trunc(2.0))
 
 
 def test_port_swap_symmetry_at_quarter_period_shift():

@@ -62,6 +62,19 @@ def test_spec_rejects_a_bool_mean_photons(n):
         ({"decay": False}, "decay must be >= 0"),
         ({"floor": False}, "floor must be >= 0"),
         ({"offset": False}, "offset must be finite"),
+        # nor is a numpy bool, a string or None
+        ({"amplitude": np.True_}, "amplitude must be >= 0"),
+        ({"amplitude": np.False_}, "amplitude must be >= 0"),
+        ({"decay": np.True_}, "decay must be >= 0"),
+        ({"decay": np.False_}, "decay must be >= 0"),
+        ({"floor": np.True_}, "floor must be >= 0"),
+        ({"floor": np.False_}, "floor must be >= 0"),
+        ({"offset": np.True_}, "offset must be finite"),
+        ({"offset": np.False_}, "offset must be finite"),
+        ({"amplitude": "0.5"}, "amplitude must be >= 0"),
+        ({"decay": None}, "decay must be >= 0"),
+        ({"floor": None}, "floor must be >= 0"),
+        ({"offset": "0"}, "offset must be finite"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
@@ -74,7 +87,9 @@ def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
     "kwargs",
     [{"eta": 0.0}, {"eta": 1.2}, {"t_a": 0.0}, {"kappa": -0.1}, {"dark_rate": -1.0}, {"jitter_factor": 0.5},
      {"eta": True}, {"t_a": True}, {"t_b": True}, {"kappa": True}, {"dark_rate": True}, {"dark_rate": False},
-     {"jitter_factor": True}],
+     {"jitter_factor": True}, {"eta": np.True_}, {"t_a": np.True_}, {"t_b": np.True_}, {"kappa": np.True_},
+     {"dark_rate": np.True_}, {"dark_rate": np.False_}, {"jitter_factor": np.True_}, {"eta": None}, {"t_a": "1"},
+     {"t_b": None}, {"kappa": "0.5"}, {"dark_rate": None}, {"jitter_factor": "2"}],
 )
 def test_profile_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):

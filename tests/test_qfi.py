@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -97,14 +98,26 @@ def test_crb_sensitivity_rejects_bad_trials(bad_trials):
 
 
 def test_crb_sensitivity_rejects_negative_information():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"Fisher information must be >= 0, got -1\.0"):
         crb_sensitivity(-1.0)
 
 
-@pytest.mark.parametrize("information", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("information", [math.nan, math.inf, -math.inf, np.True_, np.False_, "1", None],
+                         ids=["nan", "inf", "-inf", "numpy-true", "numpy-false", "str", "none"])
 def test_crb_sensitivity_rejects_non_finite_information(information):
     with pytest.raises(ValueError, match="Fisher information must be finite"):
         crb_sensitivity(information)
+
+
+def test_crb_sensitivity_stays_finite_where_trials_times_information_overflows():
+    # 1e12 * 1.6e308 overflows to inf, whose bound would read 0; the roots of the factors do not overflow
+    assert crb_sensitivity(1.6e308, trials=10**12) == 1.0 / (1e6 * math.sqrt(1.6e308))
+    assert crb_sensitivity(1.6e308, trials=10**12) == pytest.approx(7.905694150420948e-161, rel=1e-15)
+    # a numpy information gives the same bound, with no overflow warning on the way
+    assert crb_sensitivity(np.float64(1.6e308), trials=10**12) == crb_sensitivity(1.6e308, trials=10**12)
+    assert qfi_report(QfiProtocol.MZI_PHASE_AVERAGED, ell=1, mean_photons=1e307, trials=10**12).bound > 0.0
+    # below the overflow the bound is the plain 1/sqrt(trials * F), bit for bit
+    assert crb_sensitivity(1.6e295, trials=10**12) == 1.0 / math.sqrt(10**12 * 1.6e295)
 
 
 def test_report_builder_covers_all_protocols():

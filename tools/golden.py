@@ -187,7 +187,8 @@ def _cap_calls():
     # sizes far past any cap: without one they end in numpy's allocator.  Then
     # qfi, whose closed forms no photon-number cutoff limits: means 250 and 300,
     # either side of where the Fock lattice's 400-photon cap would stop a tail
-    # sum, 1e307, whose 16 ell^2 N is still finite, and 1e308, whose is not
+    # sum, 1e307, whose 16 ell^2 N is still finite, and 1e308, whose is not; then
+    # 1e307 at 1e12 trials, whose trials * F overflows but whose bounds do not
     fringe = ["--ell", "1", "--n", "2"]
     return [
         _call("cap-curve-points", "curve", *fringe, "--points", "1000000000000"),
@@ -199,6 +200,7 @@ def _cap_calls():
         _call("cap-qfi-n-300", "qfi", "--ell", "1", "--n", "300"),
         _call("qfi-n-1e307", "qfi", "--ell", "1", "--n", "1e307"),
         _call("qfi-n-1e308", "qfi", "--ell", "1", "--n", "1e308"),
+        _call("qfi-trials-overflow", "qfi", "--ell", "1", "--n", "1e307", "--trials", "1000000000000"),
     ]
 
 
