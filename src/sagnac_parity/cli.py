@@ -27,27 +27,18 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager, suppress
+from dataclasses import fields
 
 import numpy as np
 
 from . import metrics, qfi
-from .detector import DetectorModel, scan
-from .fit import error_bars, fit_fringe
-from .model import ImperfectionProfile, InterferometerSpec, _check_integer, _check_real, parity_expectation
+from .experiment import _MAX_POINTS, _MAX_TRIALS, ExperimentConfig, _jsonable, _write_csv, run_experiment
+from .model import ImperfectionProfile, InterferometerSpec, _check_integer, parity_expectation
 
-__all__ = ["ExperimentConfig", "run_experiment", "main", "DEFAULT_EXPERIMENT_SEED"]
+__all__ = ["main"]
 
 SEED_ENV_VAR = "SAGNAC_PARITY_SEED"
-
-# Seeded default acquisition; chosen so the shipped configuration is a
-# representative run (see tests/test_acceptance.py for the bands it meets).
-DEFAULT_EXPERIMENT_SEED = 2
-
-# size caps, checked before any array is built: angle points and sweep rows; trials per scan point
-_MAX_POINTS = 10**6
-_MAX_TRIALS = 10**7
 
 # curve variant -> the fields of the flags' profile its single-family fringe keeps
 _VARIANTS = {
@@ -60,144 +51,7 @@ _VARIANTS = {
 }
 
 
-# --- experiment pipeline ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a seeded end-to-end acquisition needs.
-
-    Defaults reproduce the reference bench configuration: a single charge
-    ell=1 fringe at 2.297 mean photons with a 64x64 SPAD-array style counter
-    collapsed to one dark-count rate, scanned over one period around the
-    fringe center.
-    """
-
-    ell: int = 1
-    mean_photons: float = 2.297
-    dark_rate: float = 0.0253
-    jitter_factor: float = 1.0
-    kappa: float = 1.0
-    units: int = 4096
-    points: int = 60
-    trials_per_point: int = 100_000
-    offset: float = 0.7022
-    seed: int = DEFAULT_EXPERIMENT_SEED
-    prefix: str = "experiment"
-    output_dir: str = "."
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Simulate a fringe scan, fit it, and write the three artifact files.
-
-    Writes ``{prefix}_scan.csv``, ``{prefix}_sensitivity.csv`` and
-    ``{prefix}_fit.json`` under ``config.output_dir`` and returns the summary
-    document (the same content as the JSON file).  Reruns with an identical
-    config are byte-identical.
-    """
-    spec = InterferometerSpec(ell=config.ell, mean_photons=config.mean_photons)
-    model = DetectorModel(
-        units=config.units,
-        kappa=config.kappa,
-        dark_rate=config.dark_rate,
-        jitter_factor=config.jitter_factor,
-        seed=config.seed,
-    )
-    _check_real("mean_photons", spec.mean_photons, lambda n: n > 0, "> 0")
-    _check_real("offset", config.offset)
-    # the fit needs at least as many points as its four parameters
-    _check_integer("points", config.points, low=4)
-    _check_integer("trials", config.trials_per_point)
-    _check_size("points", config.points, _MAX_POINTS)
-    _check_size("trials", config.trials_per_point, _MAX_TRIALS)
-    period = spec.fringe_period
-    start = config.offset - period / 2.0
-    grid = start + np.linspace(0.0, period, config.points, endpoint=False)
-
-    rows = scan(spec, model, grid, config.trials_per_point)
-    phis = np.array([r[0] for r in rows])
-    means = np.array([r[1] for r in rows])
-    stderrs = np.array([r[2] for r in rows])
-    # a point whose outcomes all had one parity has sample stderr 0; weight
-    # it by the binomial sigma of the Laplace estimate P = (n+1)/(n+2)
-    n = config.trials_per_point
-    sigmas = np.where(stderrs > 0.0, stderrs, 2.0 * math.sqrt(n + 1) / ((n + 2) * math.sqrt(n)))
-
-    result = fit_fringe(np.column_stack([phis, means, sigmas]), ell=config.ell)
-    fit_values = result.model(phis)
-    bars = error_bars(phis, config.trials_per_point, result.model)
-
-    snl = 1.0 / (4.0 * config.ell * math.sqrt(config.mean_photons))
-    phi_star, best = metrics.min_sensitivity(result.model)
-    dense = start + np.linspace(0.0, period, 481)
-    sens = metrics.sensitivity(result.model, dense)
-
-    os.makedirs(config.output_dir, exist_ok=True)
-    paths = {
-        kind: os.path.join(config.output_dir, f"{config.prefix}_{kind}.{ext}")
-        for kind, ext in (("scan", "csv"), ("sensitivity", "csv"), ("fit", "json"))
-    }
-
-    with open(paths["scan"], "w", encoding="utf-8", newline="") as fh:
-        _write_csv(
-            fh,
-            ["phi_rad", "parity_mean", "parity_stderr", "fit_value", "error_bar"],
-            zip(*(col.tolist() for col in (phis, means, stderrs, fit_values, bars))),
-        )
-    with open(paths["sensitivity"], "w", encoding="utf-8", newline="") as fh:
-        _write_csv(
-            fh,
-            ["phi_rad", "sensitivity_rad", "shot_noise_limit_rad"],
-            ((p, s, snl) for p, s in zip(dense.tolist(), sens.tolist())),
-        )
-
-    doc = _jsonable({
-        "schema_version": 1,
-        "config": {k: v for k, v in asdict(config).items() if k not in ("prefix", "output_dir")},
-        "parameters": {
-            "amplitude": result.model.amplitude,
-            "decay": result.model.decay,
-            "offset_rad": result.model.offset,
-            "floor": result.model.floor,
-        },
-        "param_stderr": result.param_stderr,
-        "residual_rms": result.residual_rms,
-        "derived": {
-            "n_bar": result.derived["n_bar"],
-            "r": result.derived["r"],
-            "visibility": result.derived["visibility"],
-            "fwhm_rad": result.derived["fwhm"],
-            "super_resolution_factor": result.derived["super_resolution_factor"],
-        },
-        "min_sensitivity": {"phi_rad": phi_star, "value_rad": best},
-        "shot_noise_limit_rad": snl,
-        "ratio_to_snl": best / snl,
-        "files": paths,
-    })
-    with open(paths["fit"], "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return doc
-
-
-# --- serialization helpers -------------------------------------------------
-
-
-def _jsonable(value):
-    # strict JSON has no inf or nan: each becomes null; tuples become lists
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _write_csv(stream, columns, rows):
-    # one write per table: a Python int's or float's str is the csv module's
-    # cell text (a float's str is its repr), and no header or cell needs quoting
-    stream.write("".join(",".join(map(str, row)) + "\n" for row in (columns, *rows)))
+# --- table output ----------------------------------------------------------
 
 
 def _emit_table(stream, fmt, name, columns, rows):
@@ -296,12 +150,13 @@ def _config_value(name, value):
     count = row.get("nargs")
     listed = isinstance(value, list) and (count is not None or name == "variants")
     items = value if listed else [value]
-    if len(items) != (count or len(items)) or not all(_conforms(kind, row.get("choices"), v) for v in items):
-        expected = f"one of {', '.join(row['choices'])}" if "choices" in row else _KINDS[kind]
-        expected = f"a list of {count} values, each {expected}" if count else expected
-        raise ValueError(f"config {name} must be {expected}, got {value!r}")
-    items = [kind(item) for item in items]
-    return items if listed else items[0]
+    if len(items) == (count or len(items)) and all(_conforms(kind, row.get("choices"), v) for v in items):
+        with suppress(OverflowError):  # an int past the float range is no number
+            items = [kind(item) for item in items]
+            return items if listed else items[0]
+    expected = f"one of {', '.join(row['choices'])}" if "choices" in row else _KINDS[kind]
+    expected = f"a list of {count} values, each {expected}" if count else expected
+    raise ValueError(f"config {name} must be {expected}, got {value!r}")
 
 
 def _resolve(args, options):
@@ -324,11 +179,6 @@ def _resolve(args, options):
         setattr(args, name, value)
 
 
-def _check_size(name, value, cap):
-    if value > cap:
-        raise ValueError(f"{name} must be at most {cap}, got {value}")
-
-
 def _spec_from(args):
     if args.ell is None or args.n is None:
         raise ValueError("--ell and --n are required (flag or config)")
@@ -338,7 +188,7 @@ def _spec_from(args):
 def _grid_from(args, spec):
     if args.points < 2:
         raise ValueError(f"points must be >= 2, got {args.points}")
-    _check_size("points", args.points, _MAX_POINTS)
+    _check_integer("points", args.points, 2, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
     to_radians = math.radians if args.degrees else float
     lo = 0.0 if args.phi_min is None else to_radians(args.phi_min)
     hi = spec.fringe_period if args.phi_max is None else to_radians(args.phi_max)
@@ -385,7 +235,7 @@ def _cmd_metrics(args):
             raise ValueError(f"sweep points must be an integer, got {count!r}")
         if count < 1:
             raise ValueError("sweep needs at least one point")
-        _check_size("sweep points", int(count), _MAX_POINTS)
+        _check_integer("sweep points", int(count), 1, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
         ns = np.linspace(start, stop, int(count))
     elif args.n is None:
         raise ValueError("--n or --n-sweep is required")

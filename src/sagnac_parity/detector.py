@@ -60,7 +60,8 @@ class DetectorModel:
         _check_integer("units", self.units)
         _check_integer("units", self.units, 1, 2**63, "below 2**63")  # numpy draws take a C long
         # the profile's range checks, and their messages, are the array's
-        ImperfectionProfile(kappa=self.kappa, dark_rate=self.dark_rate, jitter_factor=self.jitter_factor)
+        profile = ImperfectionProfile(kappa=self.kappa, dark_rate=self.dark_rate, jitter_factor=self.jitter_factor)
+        vars(self).update(kappa=profile.kappa, dark_rate=profile.dark_rate, jitter_factor=profile.jitter_factor)
         _check_integer("seed", self.seed, 0, 2**64, "an unsigned 64-bit integer")
         if self.effective_dark_rate / self.units > 1.0:
             raise ValueError(

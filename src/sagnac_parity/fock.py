@@ -51,7 +51,7 @@ def _poisson_tails(mean, n_max):
     # P(X > n) for n = 0..n_max, X ~ Poisson(mean): the pmf summed from the far end down,
     # positive terms only, so nothing cancels.  The far end lies past the mean, its term below
     # 1e-17 of the tail above n_max.  If 0..n_max holds under 1e-17 of the mass, every tail is 1
-    _check_real("mean_photons", mean, lambda m: 0.0 <= m < math.inf, ">= 0 and finite")
+    mean = _check_real("mean_photons", mean, lambda m: 0.0 <= m < math.inf, ">= 0 and finite")
     end = n_max + 64
     while True:
         pmf = np.exp(_log_weights(end, mean) - mean)

@@ -18,7 +18,8 @@ evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
 ``phi`` in radians and is vectorized through numpy.  Three rules refuse an input
 with a ValueError naming it: ``_check_integer`` for integers, ``_check_real`` for
-reals (never a bool), ``_shape`` for angles of 2^48/ell rad or more, or nan.
+reals (never a bool; kept as the Python float they equal), ``_shape`` for angles
+of 2^48/ell rad or more, or nan.
 """
 from __future__ import annotations
 
@@ -60,20 +61,29 @@ def _check_integer(name, value, low=1, high=None, requirement=None):
 
 
 def _check_real(name, value, within=math.isfinite, requirement="finite"):
-    # one check for every real input: a Python or numpy real, never a bool of either kind,
-    # for which within(value) holds; the message names the input and its range
-    if isinstance(value, bool) or not isinstance(value, _REALS) or not within(value):
+    # one check for every real input: a Python or numpy real, never a bool of either kind, whose
+    # float within() accepts, returned as that Python float; the message names the input and its range
+    try:
+        number = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else None
+    except OverflowError:  # an int past the float range
+        number = None
+    if number is None or not within(number):
         raise ValueError(f"{name} must be {requirement}, got {value}")
+    return number
 
 
 def _shape(phi, decay, offset, ell):
     # delta = phi - offset, s = sin(2 ell delta), exp(-decay s^2), also for fit iterates with a + c > 1.  The angle rule
     # stops where derivative's extremum cut zeroes all slopes, on the raw angles: a small delta of huge ones is no finer
+    try:
+        phi = np.asarray(phi, dtype=float)
+    except OverflowError:  # an int past the float range
+        phi = np.asarray(math.inf)
     big = np.maximum.reduce(np.abs(phi), axis=None, initial=abs(offset))
     if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
         raise ValueError(f"angles of order {big:g} rad are too large to resolve the fringe period "
                          f"{math.pi / (2.0 * ell):g} rad in floating point (phi must be finite)")
-    delta = np.asarray(phi, dtype=float) - offset
+    delta = phi - offset
     s = np.sin(2 * ell * delta)
     return delta, s, np.exp(-decay * s * s)
 
@@ -96,7 +106,7 @@ class InterferometerSpec:
     def __post_init__(self):
         _check_integer("ell", self.ell)
         _check_real("mean_photons", self.mean_photons)
-        _check_real("mean_photons", self.mean_photons, lambda n: n >= 0, ">= 0")
+        vars(self)["mean_photons"] = _check_real("mean_photons", self.mean_photons, lambda n: n >= 0, ">= 0")
 
     @property
     def fringe_period(self) -> float:
@@ -125,16 +135,16 @@ class FringeModel:
         _check_integer("ell", self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
-        _check_real("amplitude", self.amplitude, lambda a: a >= 0.0, ">= 0")
-        _check_real("decay", self.decay, lambda b: 0.0 <= b < math.inf, ">= 0 and finite")
+        a = _check_real("amplitude", self.amplitude, lambda a: a >= 0.0, ">= 0")
+        b = _check_real("decay", self.decay, lambda b: 0.0 <= b < math.inf, ">= 0 and finite")
         # 2 ell decay is the slope's first factor; past the float range delta_phi reads 0 or nan
-        if not math.isfinite(2.0 * self.ell * self.decay):
+        if not math.isfinite(2.0 * self.ell * b):
             raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {self.ell}")
-        _check_real("floor", self.floor, lambda c: c >= 0.0, ">= 0")
-        if self.amplitude + self.floor > 1.0 + 1e-12:
+        c = _check_real("floor", self.floor, lambda c: c >= 0.0, ">= 0")
+        if a + c > 1.0 + 1e-12:
             raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
-        _check_real("offset", self.offset)
-        object.__setattr__(self, "headroom", max(1.0 - self.amplitude - self.floor, 0.0))
+        offset = _check_real("offset", self.offset)
+        vars(self).update(amplitude=a, decay=b, floor=c, offset=offset, headroom=max(1.0 - a - c, 0.0))
 
     @property
     def period(self) -> float:
@@ -188,10 +198,11 @@ class ImperfectionProfile:
     jitter_factor: float = 1.0
 
     def __post_init__(self):
+        values = vars(self)
         for name in ("eta", "t_a", "t_b", "kappa"):
-            _check_real(name, getattr(self, name), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-        _check_real("dark_rate", self.dark_rate, lambda r: 0.0 <= r < math.inf, "finite and >= 0")
-        _check_real("jitter_factor", self.jitter_factor, lambda j: 1.0 <= j < math.inf, ">= 1")
+            values[name] = _check_real(name, getattr(self, name), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        values["dark_rate"] = _check_real("dark_rate", self.dark_rate, lambda r: 0.0 <= r < math.inf, "finite and >= 0")
+        values["jitter_factor"] = _check_real("jitter_factor", self.jitter_factor, lambda j: 1.0 <= j < math.inf, ">= 1")
 
     @property
     def effective_dark_rate(self) -> float:

@@ -35,31 +35,32 @@ class QfiProtocol(Enum):
 
 def qfi_si(ell, mean_photons):
     """QFI of the Sagnac loop, 16 ell^2 N."""
-    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
-    return 16.0 * ell * ell * mean_photons
+    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
+    return 16.0 * ell * ell * n
 
 
 def qfi_mzi(ell, mean_photons):
     """QFI of the single-prism Mach-Zehnder, 8 ell^2 N."""
-    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
-    return 8.0 * ell * ell * mean_photons
+    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
+    return 8.0 * ell * ell * n
 
 
 def qfi_mzi_phase_averaged(ell, mean_photons):
     """QFI of the phase-averaged Mach-Zehnder, the Poisson mean sum_n p_n 4 ell^2 n = 4 ell^2 N."""
-    InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
-    return 4.0 * ell * ell * mean_photons
+    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
+    return 4.0 * ell * ell * n
 
 
 def crb_sensitivity(fisher_information, trials=1):
     """Cramer-Rao bound 1/sqrt(trials * F), finite also where trials * F overflows; zero F gives +inf."""
     _check_integer("trials", trials)
+    trials = _check_real("trials", trials)
     _check_real("Fisher information", fisher_information)
-    _check_real("Fisher information", fisher_information, lambda f: f >= 0, ">= 0")
-    if fisher_information == 0:
+    f = _check_real("Fisher information", fisher_information, lambda f: f >= 0, ">= 0")
+    if f == 0:
         return math.inf
-    product = trials * float(fisher_information)  # past the float range, take each factor's root
-    return 1.0 / (math.sqrt(product) if product < math.inf else math.sqrt(trials) * math.sqrt(fisher_information))
+    product = trials * f  # past the float range, take each factor's root
+    return 1.0 / (math.sqrt(product) if product < math.inf else math.sqrt(trials) * math.sqrt(f))
 
 
 @dataclass(frozen=True)

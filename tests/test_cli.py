@@ -26,7 +26,8 @@ from sagnac_parity import (
     parity_expectation_loss,
     parity_expectation_prep,
 )
-from sagnac_parity.cli import _write_csv, main
+from sagnac_parity.cli import main
+from sagnac_parity.experiment import _write_csv
 
 
 def _run(argv, capsys):
@@ -334,6 +335,12 @@ def test_missing_config_file_is_a_json_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config file must contain a JSON object"
 
+    # an integer literal past the float range is no number of the flag's kind
+    cfg.write_text('{"ell": 1, "n": 1' + "0" * 400 + "}", encoding="utf-8")
+    rc, out, err = _run(["curve", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == f"config n must be a number, got {10**400}"
+
 
 def test_output_flag_writes_the_table_to_a_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
@@ -598,6 +605,18 @@ def test_cli_import_loads_no_scipy():
     assert not _loads(loaded, "concurrent.futures")
     for name in ("model", "detector", "metrics", "fock", "qfi", "cli"):
         assert f"sagnac_parity.{name}" in loaded, name
+
+
+def test_package_import_loads_the_experiment_but_not_the_cli():
+    # the library holds the whole pipeline; the command line, and argparse with
+    # it, load only on request, so `-m sagnac_parity.cli` finds cli unloaded
+    loaded = _modules_after("import sagnac_parity")
+    assert "sagnac_parity.experiment" in loaded
+    assert "sagnac_parity.cli" not in loaded
+    assert "argparse" not in loaded
+    from sagnac_parity import cli, experiment
+    assert sagnac_parity.run_experiment is experiment.run_experiment is cli.run_experiment
+    assert sagnac_parity.ExperimentConfig is experiment.ExperimentConfig is cli.ExperimentConfig
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,9 @@ def test_model_validation():
     with pytest.raises(ValueError, match="seed"):
         DetectorModel(seed=2**64)
     assert DetectorModel(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    # the profile's floats are the array's, whatever numpy width they came in
+    model = DetectorModel(kappa=np.float16(0.5), dark_rate=np.int64(1), jitter_factor=np.float32(1.5))
+    assert [type(v) for v in (model.kappa, model.dark_rate, model.jitter_factor)] == [float] * 3
 
 
 def test_simulate_rejects_bad_trials():

@@ -23,7 +23,7 @@ from sagnac_parity import (
     sensitivity,
     sensitivity_from_fit,
 )
-from sagnac_parity import cli, fit
+from sagnac_parity import experiment, fit
 
 REFERENCE = FringeModel(amplitude=0.9507, decay=4.594, offset=0.7022, ell=1)
 
@@ -195,7 +195,7 @@ def _experiment_rows(monkeypatch, tmp_path, seed, **changes):
     # the rows a seeded run_experiment hands to its fit
     rows = []
     with monkeypatch.context() as m:
-        m.setattr(cli, "fit_fringe", lambda data, ell: rows.append(data) or fit_fringe(data, ell))
+        m.setattr(experiment, "fit_fringe", lambda data, ell: rows.append(data) or fit_fringe(data, ell))
         run_experiment(ExperimentConfig(seed=seed, output_dir=str(tmp_path), **changes))
     return rows[0]
 

@@ -106,7 +106,8 @@ def test_truncation_error_at_the_cap_reports_the_deepest_tail():
         FockTruncation.for_mean_photons(1e9)
 
 
-@pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf, np.True_], ids=["negative", "nan", "inf", "numpy-true"])
+@pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf, np.True_, 10**400],
+                         ids=["negative", "nan", "inf", "numpy-true", "huge-int"])
 def test_truncation_rejects_a_mean_that_is_negative_or_not_finite(mean):
     with pytest.raises(ValueError, match="mean_photons must be >= 0 and finite"):
         FockTruncation.for_mean_photons(mean)

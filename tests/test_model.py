@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,9 @@ def test_spec_rejects_negative_mean_photons():
         InterferometerSpec(ell=1, mean_photons=-0.5)
     with pytest.raises(ValueError, match="mean_photons must be finite"):
         InterferometerSpec(ell=1, mean_photons=math.nan)
+    # an int past the float range is no finite mean either
+    with pytest.raises(ValueError, match="mean_photons must be finite"):
+        InterferometerSpec(ell=1, mean_photons=10**400)
 
 
 @pytest.mark.parametrize("n", [True, False])
@@ -75,6 +79,9 @@ def test_spec_rejects_a_bool_mean_photons(n):
         ({"decay": None}, "decay must be >= 0"),
         ({"floor": None}, "floor must be >= 0"),
         ({"offset": "0"}, "offset must be finite"),
+        # an int past the float range, and int64 parameters whose int64 sum wraps negative
+        ({"offset": 10**400}, "offset must be finite"),
+        ({"amplitude": np.int64(2**62), "decay": 1e-3, "floor": np.int64(2**62)}, "amplitude \\+ floor exceeds 1"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
@@ -89,11 +96,25 @@ def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
      {"eta": True}, {"t_a": True}, {"t_b": True}, {"kappa": True}, {"dark_rate": True}, {"dark_rate": False},
      {"jitter_factor": True}, {"eta": np.True_}, {"t_a": np.True_}, {"t_b": np.True_}, {"kappa": np.True_},
      {"dark_rate": np.True_}, {"dark_rate": np.False_}, {"jitter_factor": np.True_}, {"eta": None}, {"t_a": "1"},
-     {"t_b": None}, {"kappa": "0.5"}, {"dark_rate": None}, {"jitter_factor": "2"}],
+     {"t_b": None}, {"kappa": "0.5"}, {"dark_rate": None}, {"jitter_factor": "2"}, {"dark_rate": 10**400},
+     {"jitter_factor": 10**400}],
 )
 def test_profile_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
         ImperfectionProfile(**kwargs)
+
+
+def test_real_inputs_are_kept_as_python_floats():
+    # a real of any numpy width is checked and stored as the Python float it equals,
+    # so no fringe is computed in float16, float32 or wrapping int64 arithmetic
+    spec = InterferometerSpec(ell=1, mean_photons=np.float32(2.297))
+    fringe = FringeModel(np.int64(1), np.float16(2.0), np.float32(0.25), 1, floor=np.int64(0))
+    profile = ImperfectionProfile(eta=np.float32(0.9), t_a=np.float16(0.5), dark_rate=np.int64(1))
+    values = [spec.mean_photons, fringe.amplitude, fringe.decay, fringe.offset, fringe.floor,
+              *(getattr(profile, f.name) for f in dataclasses.fields(profile))]
+    assert all(type(v) is float for v in values)
+    assert spec.mean_photons == float(np.float32(2.297)) and fringe.offset == 0.25
+    assert profile.t_a == 0.5 and profile.dark_rate == 1.0
 
 
 def test_effective_dark_rate_is_jitter_scaled():
@@ -250,5 +271,8 @@ def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
             parity_expectation(spec, phi, ImperfectionProfile())
     with pytest.raises(ValueError, match="phi must be finite"):
         sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), math.nan)
+    for phi in (10**400, [0.0, -(10**400)]):  # ints past the float range
+        with pytest.raises(ValueError, match="angles of order inf rad"):
+            sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), phi)
     with pytest.raises(ValueError, match="angles of order 1e\\+300 rad"):
         FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(0.0)

@@ -19,9 +19,12 @@ from oracles import phase_averaged_qfi_sum, poisson_cutoff
 
 @pytest.mark.parametrize(
     "ell,n,expected_si,expected_mzi",
-    [(1, 1.0, 16.0, 8.0), (2, 5.0, 320.0, 160.0), (5, 20.0, 8000.0, 4000.0)],
+    # a float16 N is computed in double precision, where 16 N does not overflow
+    [(1, 1.0, 16.0, 8.0), (2, 5.0, 320.0, 160.0), (5, 20.0, 8000.0, 4000.0),
+     (1, np.float16(60000), 960000.0, 480000.0)],
 )
 def test_closed_form_fisher_information(ell, n, expected_si, expected_mzi):
+    assert type(qfi_si(ell, n)) is type(qfi_mzi(ell, n)) is type(qfi_mzi_phase_averaged(ell, n)) is float
     assert qfi_si(ell, n) == expected_si
     assert qfi_mzi(ell, n) == expected_mzi
     assert qfi_si(ell, n) == 2.0 * qfi_mzi(ell, n)
@@ -83,6 +86,8 @@ def test_validation_rejects_bad_charge(bad_ell):
 def test_validation_rejects_negative_photons():
     with pytest.raises(ValueError):
         qfi_mzi(1, -1.0)
+    with pytest.raises(ValueError, match="mean_photons must be finite"):
+        qfi_si(1, 10**400)
 
 
 def test_crb_sensitivity_values():
@@ -91,7 +96,7 @@ def test_crb_sensitivity_values():
     assert crb_sensitivity(8.0) == pytest.approx(0.35355339059327373, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad_trials", [0, -1, 2.5, True])
+@pytest.mark.parametrize("bad_trials", [0, -1, 2.5, True, pytest.param(10**400, id="huge-int")])
 def test_crb_sensitivity_rejects_bad_trials(bad_trials):
     with pytest.raises(ValueError):
         crb_sensitivity(4.0, trials=bad_trials)

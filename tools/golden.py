@@ -152,6 +152,7 @@ def _error_calls():
         "metrics-bad-table": ["metrics", *fringe, "--table", "bogus"],
         "qfi-no-n": ["qfi", "--ell", "1"],
         "qfi-trials-0": ["qfi", *fringe, "--trials", "0"],
+        "qfi-trials-huge": ["qfi", *fringe, "--trials", str(10**400)],
         "experiment-points-0": ["experiment", "--points", "0"],
         "experiment-points-1": ["experiment", "--points", "1"],
         "experiment-points-3": ["experiment", "--points", "3"],
@@ -168,6 +169,7 @@ def _error_calls():
         "wrong-type": json.dumps({"ell": [1], "n": 2}),
         "sweep-short": json.dumps({"ell": 1, "n_sweep": [1, 2]}),
         "not-json": "{",
+        "n-huge": json.dumps({"ell": 1, "n": 10**400}),
     }
     calls += [_call(f"error-config-{name}", "curve", "--config", "cfg.json", files={"cfg.json": text})
               for name, text in configs.items()]
