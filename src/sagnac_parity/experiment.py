@@ -54,9 +54,9 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def _figures(result, config):
+def _figures(result, spec):
     # the document's figures of a fit: the derived block, the sensitivity minimum, the SNL and their ratio
-    snl = 1.0 / (4.0 * config.ell * math.sqrt(config.mean_photons))
+    snl = 1.0 / (4.0 * spec.ell * math.sqrt(spec.mean_photons))
     phi_star, best = metrics.min_sensitivity(result.model)
     return {
         "derived": {
@@ -88,23 +88,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # the fit needs at least as many points as its four parameters
     _check_integer("points", config.points, low=4)
     _check_integer("trials", config.trials_per_point)
-    _check_integer("points", config.points, 4, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
-    _check_integer("trials", config.trials_per_point, 1, _MAX_TRIALS + 1, f"at most {_MAX_TRIALS}")
+    points = _check_integer("points", config.points, 4, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
+    n = _check_integer("trials", config.trials_per_point, 1, _MAX_TRIALS + 1, f"at most {_MAX_TRIALS}")
     period = spec.fringe_period
     start = offset - period / 2.0
-    grid = start + np.linspace(0.0, period, config.points, endpoint=False)
+    grid = start + np.linspace(0.0, period, points, endpoint=False)
 
-    phis, means, stderrs = np.array(scan(spec, model, grid, config.trials_per_point)).T
+    phis, means, stderrs = np.array(scan(spec, model, grid, n)).T
     # a point whose outcomes all had one parity has sample stderr 0; weight
     # it by the binomial sigma of the Laplace estimate P = (n+1)/(n+2)
-    n = config.trials_per_point
     sigmas = np.where(stderrs > 0.0, stderrs, 2.0 * math.sqrt(n + 1) / ((n + 2) * math.sqrt(n)))
 
-    result = fit_fringe(np.column_stack([phis, means, sigmas]), ell=config.ell)
+    result = fit_fringe(np.column_stack([phis, means, sigmas]), ell=spec.ell)
     fit_values = result.model(phis)
     bars = error_bars(phis, n, result.model)
 
-    figures = _figures(result, config)
+    figures = _figures(result, spec)
     dense = start + np.linspace(0.0, period, 481)
     sens = metrics.sensitivity(result.model, dense)
     paths = {kind: os.path.join(config.output_dir, f"{config.prefix}_{kind}.{ext}")
@@ -138,7 +137,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _jsonable(value):
-    # strict JSON has no inf or nan: each becomes null; tuples become lists
+    # strict JSON has no inf or nan: each becomes null; tuples become lists; a numpy
+    # scalar becomes the Python int or float it equals
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

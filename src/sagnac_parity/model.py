@@ -18,8 +18,8 @@ evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
 ``phi`` in radians and is vectorized through numpy.  Three rules refuse an input
 with a ValueError naming it: ``_check_integer`` for integers, ``_check_real`` for
-reals (never a bool; kept as the Python float they equal), ``_shape`` for angles
-of 2^48/ell rad or more, or nan.
+reals (never a bool; each kept as the Python int or float it equals), ``_shape``
+for angles of 2^48/ell rad or more, or nan.
 """
 from __future__ import annotations
 
@@ -50,14 +50,16 @@ _REALS = (float, int, np.floating, np.integer)
 
 def _check_integer(name, value, low=1, high=None, requirement=None):
     # one check for every integer input: a Python or numpy integer, never a
-    # bool, in [low, high); the message names the input and its range
+    # bool, in [low, high), returned as the Python int it equals; the message
+    # names the input and its range
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
         or value < low
         or (high is not None and value >= high)
     ):
-        raise ValueError(f"{name} must be {requirement or f'an integer >= {low}'}, got {value!r}")
+        raise ValueError(f"{name} must be {requirement or f'an integer >= {low}'}, got {_shown(value, repr)}")
+    return int(value)
 
 
 def _check_real(name, value, within=math.isfinite, requirement="finite"):
@@ -68,8 +70,19 @@ def _check_real(name, value, within=math.isfinite, requirement="finite"):
     except OverflowError:  # an int past the float range
         number = None
     if number is None or not within(number):
-        raise ValueError(f"{name} must be {requirement}, got {value}")
+        raise ValueError(f"{name} must be {requirement}, got {_shown(value, str)}")
     return number
+
+
+def _shown(value, text):
+    # text(value) for a refusal message; an int too long for Python to print shows its digit count
+    try:
+        return text(value)
+    except ValueError:
+        digits = int((abs(value).bit_length() - 1) * math.log10(2))
+        while 10**digits <= abs(value):
+            digits += 1
+        return f"an integer of {digits} digits"
 
 
 def _shape(phi, decay, offset, ell):
@@ -104,7 +117,7 @@ class InterferometerSpec:
     mean_photons: float
 
     def __post_init__(self):
-        _check_integer("ell", self.ell)
+        vars(self)["ell"] = _check_integer("ell", self.ell)
         _check_real("mean_photons", self.mean_photons)
         vars(self)["mean_photons"] = _check_real("mean_photons", self.mean_photons, lambda n: n >= 0, ">= 0")
 

@@ -462,6 +462,22 @@ def test_experiment_pipeline_writes_reproducible_artifacts(tmp_path, capsys):
     assert saved["derived"]["n_bar"] == pytest.approx(doc["parameters"]["decay"] / 2.0)
 
 
+@pytest.mark.parametrize("field, value, echoed", [("mean_photons", np.float32(2.297), float(np.float32(2.297))),
+                                                  ("units", np.int64(64), 64), ("seed", np.uint64(3), 3),
+                                                  ("offset", np.int64(0), 0)])
+def test_experiment_echoes_a_numpy_input_as_the_python_number_it_checked(tmp_path, field, value, echoed):
+    # the document and its artifacts are those of the Python number the input rules accepted; a
+    # Python int for a real field is echoed as the int it is
+    config = {"points": 8, "trials_per_point": 100, "units": 64, field: value}
+    doc = sagnac_parity.run_experiment(sagnac_parity.ExperimentConfig(output_dir=str(tmp_path / "numpy"), **config))
+    config[field] = echoed
+    sagnac_parity.run_experiment(sagnac_parity.ExperimentConfig(output_dir=str(tmp_path / "python"), **config))
+    assert type(doc["config"][field]) is type(echoed) and doc["config"][field] == echoed
+    for name in ("experiment_scan.csv", "experiment_sensitivity.csv", "experiment_fit.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes().replace(
+            b"/python/", b"/numpy/"), name
+
+
 def test_points_with_one_parity_do_not_pin_the_fit(tmp_path, capsys):
     # without dark counts, few trials leave points near the peak all even;
     # their sample stderr is 0 and must not become an overwhelming weight

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import binomial_inversion, pcg64_emitting
 from sagnac_parity import DetectorModel, InterferometerSpec, credibility, scan, simulate
-from sagnac_parity.detector import _click_probability, _parity_estimate, _point_seed
+from sagnac_parity.detector import (
+    _click_probability, _draw, _inversion, _inversion_thresholds, _odd_draws, _parity_estimate, _point_seed,
+)
 
 
 def _stderr_bound(expectation, trials):
@@ -132,13 +135,13 @@ def _estimator_cases():
 def test_parity_estimate_matches_the_sample_mean_and_an_exact_stderr():
     for counts in _estimator_cases():
         trials = counts.size
-        mean, stderr = _parity_estimate(counts)
+        odd = int(np.count_nonzero(counts & 1))
+        mean, stderr = _parity_estimate(odd, trials)
         parity = 1.0 - 2.0 * (counts & 1)
         assert mean == parity.mean(), trials
         if trials == 1:
             assert stderr == 0.0
             continue
-        odd = int(np.count_nonzero(counts & 1))
         with mpmath.workprec(200):
             exact = 2 * mpmath.sqrt(mpmath.mpf(odd * (trials - odd)) / (trials - 1)) / trials
             assert abs(mpmath.mpf(stderr) - exact) <= 2 * math.ulp(float(exact)), (trials, odd)
@@ -167,6 +170,8 @@ def test_model_validation():
     # numpy draws the click counts with a C long
     with pytest.raises(ValueError, match=r"units must be below 2\*\*63"):
         DetectorModel(units=2**63)
+    with pytest.raises(ValueError, match=r"^units must be below 2\*\*63, got an integer of 5001 digits$"):
+        DetectorModel(units=10**5000)
     assert simulate(InterferometerSpec(ell=1, mean_photons=1.0), 0.1, DetectorModel(units=2**63 - 1), 3).trials == 3
     with pytest.raises(ValueError, match="seed"):
         DetectorModel(seed=False)
@@ -205,8 +210,10 @@ def test_scan_reruns_bit_identically_and_derives_per_point_seeds():
 
 
 def test_scan_matches_the_sequential_loop_row_for_row():
-    # the scan runs its points on a thread pool; a grid longer than the pool
-    # makes threads take several points each, in no fixed order
+    # a scan point counts its odd draws from the thresholds of its uniforms,
+    # without the counts; simulate counts them in the counts it returns.  The
+    # points run on a thread pool; a grid longer than the pool makes threads
+    # take several points each, in no fixed order
     spec = InterferometerSpec(ell=1, mean_photons=2.297)
     model = DetectorModel(units=4096, dark_rate=0.0253, seed=7)
     grid = 0.7022 + np.linspace(-math.pi / 4, math.pi / 4, max(9, 2 * (os.cpu_count() or 1) + 1))
@@ -215,6 +222,80 @@ def test_scan_matches_the_sequential_loop_row_for_row():
         run = simulate(spec, float(phi), replace(model, seed=_point_seed(7, i)), 5000)
         sequential.append((float(phi), run.parity_mean, run.parity_stderr))
     assert scan(spec, model, grid, 5000) == sequential
+
+
+_TOP = 1.0 - 2.0**-53  # the largest uniform Generator.random returns
+
+
+def _draw_cases():
+    # units from one to far past numpy's float-exact range, where 1 - p rounds to 1; p at 0 and
+    # tiny, at numpy's inversion limit 30/n from either end, on either side of 1/2 and at 1;
+    # seeded sizes log-uniform from 1 to 1e5
+    rng = np.random.default_rng(2700)
+    for n in (1, 2, 3, 4, 16, 64, 4096, 10**6, 2**62):
+        edge = min(30.0 / n, 1.0)
+        for p in (0.0, 1e-300, 2.0**-60, 0.5 * edge, edge, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.7,
+                  1.0 - edge, 1.0 - 0.5 * edge, 1.0 - 2.0**-53, 1.0):
+            yield n, p, round(10.0 ** rng.uniform(0.0, 5.0)), int(rng.integers(2**64, dtype=np.uint64))
+
+
+def test_draws_are_numpys_binomial_stream_bit_for_bit():
+    # the counts, their odd count and the generator's state afterwards, against rng.binomial
+    for n, p, size, seed in _draw_cases():
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = numpys.binomial(n, p, size)
+        got = _draw(ours, n, p, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, p, size)
+        assert ours.bit_generator.state == numpys.bit_generator.state, (n, p, size)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _odd_draws(ours, n, p, size) == np.count_nonzero(numpys.binomial(n, p, size) & 1), (n, p, size)
+        assert ours.bit_generator.state == numpys.bit_generator.state, (n, p, size)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.3), (3, 0.5), (16, 0.25), (64, 0.46), (4096, 30 / 4096),
+                                  (10**6, 2.3e-6), (2**62, 2.0**-60)])
+def test_thresholds_are_where_numpys_inversion_loop_stops(n, p):
+    # t_k stops by step k and the next lattice point does not, in the scalar transcription of
+    # numpy's loop and in numpy's own draw fed that uniform.  The largest uniforms may run past
+    # numpy's bound; those below 1 - 2**-40 do not here
+    top = 1.0 - 2.0**-40
+    thresholds = _inversion_thresholds(n, p, top)
+    assert binomial_inversion(n, p, top) == len(thresholds)
+    for k, t_k in enumerate(thresholds):
+        for u in (t_k, t_k + 2.0**-53):
+            x = binomial_inversion(n, p, u)
+            assert (x <= k) if u == t_k else (x is None or x > k), (k, u)
+            if x is not None:
+                assert pcg64_emitting(round(u * 2**53) << 11).binomial(n, p) == x, (k, u)
+
+
+@pytest.mark.parametrize("n, p, restarts", [(2, 0.363, True), (16, 0.0325, True), (16, 0.0105, False)])
+def test_the_largest_uniform_at_numpys_bound(n, p, restarts):
+    # numpy's bound is n at n = 2 and its cap 10 at n = 16.  In the first two cases the px up to
+    # the bound sum to less than the largest uniform, whose loop runs past the bound, so numpy
+    # draws that readout again from the next 64-bit word; in the third it stops at the cap
+    assert pcg64_emitting(2**64 - 1).random() == _TOP
+    numpys, words = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
+    x = numpys.binomial(n, p)
+    words.bit_generator.random_raw(2 if restarts else 1)
+    assert numpys.bit_generator.state == words.bit_generator.state
+    if restarts:
+        assert binomial_inversion(n, p, _TOP) is None and _inversion_thresholds(n, p, _TOP) is None
+    else:
+        assert x == binomial_inversion(n, p, _TOP) == len(_inversion_thresholds(n, p, _TOP)) == 10
+    for draw, reference in ((_draw, lambda rng: rng.binomial(n, p, 5)),
+                            (_odd_draws, lambda rng: np.count_nonzero(rng.binomial(n, p, 5) & 1))):
+        ours, theirs = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
+        np.testing.assert_array_equal(draw(ours, n, p, 5), reference(theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("n, p", [(100, 0.35), (100, 0.65), (4096, 0.5), (64, 0.0)])
+def test_outside_numpys_inversion_regime_the_stream_is_left_to_numpy(n, p):
+    # numpy draws nothing at p = 0 and draws by BTPE past n min(p, 1 - p) = 30
+    rng = np.random.default_rng(27)
+    assert _inversion(rng, n, p, 1000) is None
+    assert rng.bit_generator.state == np.random.default_rng(27).bit_generator.state
 
 
 @pytest.mark.parametrize("trials", [0, 2.5, True])

@@ -41,6 +41,11 @@ def test_spec_rejects_negative_mean_photons():
     # an int past the float range is no finite mean either
     with pytest.raises(ValueError, match="mean_photons must be finite"):
         InterferometerSpec(ell=1, mean_photons=10**400)
+    # Python prints no int of more than 4300 digits; the refusal gives its digit count
+    with pytest.raises(ValueError, match="^mean_photons must be finite, got an integer of 5001 digits$"):
+        InterferometerSpec(ell=1, mean_photons=10**5000)
+    with pytest.raises(ValueError, match="^mean_photons must be finite, got an integer of 5000 digits$"):
+        InterferometerSpec(ell=1, mean_photons=-(10**5000 - 1))
 
 
 @pytest.mark.parametrize("n", [True, False])

@@ -96,9 +96,10 @@ def test_crb_sensitivity_values():
     assert crb_sensitivity(8.0) == pytest.approx(0.35355339059327373, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad_trials", [0, -1, 2.5, True, pytest.param(10**400, id="huge-int")])
+@pytest.mark.parametrize("bad_trials", [0, -1, 2.5, True, pytest.param(10**400, id="huge-int"),
+                                        pytest.param(10**5000, id="unprintable-int")])
 def test_crb_sensitivity_rejects_bad_trials(bad_trials):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be"):
         crb_sensitivity(4.0, trials=bad_trials)
 
 
