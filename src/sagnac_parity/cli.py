@@ -186,15 +186,13 @@ def _spec_from(args):
 
 
 def _grid_from(args, spec):
-    if args.points < 2:
-        raise ValueError(f"points must be >= 2, got {args.points}")
-    _check_integer("points", args.points, 2, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
+    points = _check_integer("points", args.points, 2, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
     to_radians = math.radians if args.degrees else float
     lo = 0.0 if args.phi_min is None else to_radians(args.phi_min)
     hi = spec.fringe_period if args.phi_max is None else to_radians(args.phi_max)
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"angle range [{lo}, {hi}] must be finite and non-empty")
-    grid = np.linspace(lo, hi, args.points)
+    grid = np.linspace(lo, hi, points)
     return (grid, "phi_deg", np.degrees(grid)) if args.degrees else (grid, "phi_rad", grid)
 
 
@@ -230,13 +228,10 @@ def _cmd_metrics(args):
     if args.ell is None:
         raise ValueError("--ell is required (flag or config)")
     if args.n_sweep is not None:
-        start, stop, count = args.n_sweep
-        if not count.is_integer():
-            raise ValueError(f"sweep points must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError("sweep needs at least one point")
-        _check_integer("sweep points", int(count), 1, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
-        ns = np.linspace(start, stop, int(count))
+        start, stop, count = args.n_sweep  # floats: the rule takes a whole one as the int it equals
+        count = _check_integer("sweep points", int(count) if count.is_integer() else count, 1, _MAX_POINTS + 1,
+                               f"at most {_MAX_POINTS}")
+        ns = np.linspace(start, stop, count)
     elif args.n is None:
         raise ValueError("--n or --n-sweep is required")
     else:

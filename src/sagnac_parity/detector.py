@@ -74,18 +74,15 @@ class DetectorModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("units", self.units)
         units = _check_integer("units", self.units, 1, 2**63, "below 2**63")  # numpy draws take a C long
         # the profile's range checks, and their messages, are the array's
         profile = ImperfectionProfile(kappa=self.kappa, dark_rate=self.dark_rate, jitter_factor=self.jitter_factor)
         seed = _check_integer("seed", self.seed, 0, 2**64, "an unsigned 64-bit integer")
         vars(self).update(units=units, kappa=profile.kappa, dark_rate=profile.dark_rate,
                           jitter_factor=profile.jitter_factor, seed=seed)
-        if self.effective_dark_rate / self.units > 1.0:
-            raise ValueError(
-                f"per-unit dark probability {self.effective_dark_rate / self.units:g} "
-                "exceeds 1; the model is misconfigured"
-            )
+        if self.effective_dark_rate / units > 1.0:
+            raise ValueError(f"dark_rate * jitter_factor / units, the per-unit dark probability, must be at most 1, "
+                             f"got {self.effective_dark_rate / units:g}")
 
     @property
     def effective_dark_rate(self) -> float:

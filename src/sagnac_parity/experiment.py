@@ -86,8 +86,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     _check_real("mean_photons", spec.mean_photons, lambda n: n > 0, "> 0")
     offset = _check_real("offset", config.offset)
     # the fit needs at least as many points as its four parameters
-    _check_integer("points", config.points, low=4)
-    _check_integer("trials", config.trials_per_point)
     points = _check_integer("points", config.points, 4, _MAX_POINTS + 1, f"at most {_MAX_POINTS}")
     n = _check_integer("trials", config.trials_per_point, 1, _MAX_TRIALS + 1, f"at most {_MAX_TRIALS}")
     period = spec.fringe_period

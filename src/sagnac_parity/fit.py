@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .metrics import fringe_figures, min_sensitivity, sensitivity
-from .model import FringeModel, _check_integer, _shape
+from .model import FringeModel, _check_ell, _check_integer, _shape
 
 __all__ = [
     "FitResult",
@@ -115,8 +115,8 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     (|value| + 2)/sigma of sqrt(largest float / rows) or more: the model
     lies in [0, 2], so below that the cost cannot overflow.
     """
-    _check_integer("ell", ell)
-    _check_integer("max_iter", max_iter)
+    ell = _check_ell(ell)
+    max_iter = _check_integer("max_iter", max_iter)
     arr = _as_data(data)
     floor = "free" if fit_floor else "zero"
     # angles, values or weights so far out of scale that the arithmetic
@@ -214,7 +214,7 @@ def _package(res, ell, floor):
     a, b, p0 = res.x[:3]
     c = {"zero": 0.0, "peak": 1.0 - float(a), "free": float(res.x[-1])}[floor]
     p0 = float(p0) % (math.pi / (2.0 * ell))
-    model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=int(ell), floor=c)
+    model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=ell, floor=c)
 
     visibility, width, factor = fringe_figures(model)
     derived = {
@@ -243,11 +243,8 @@ def _package(res, ell, floor):
 
 def error_bars(phi, trials, model):
     """Expected standard error of a parity mean: sqrt(model.variance(phi)/trials)."""
-    n = np.asarray(trials)
-    # a bool, or a count that is not a finite number, is not a trial count
-    if n.dtype.kind not in "iuf" or not np.all(np.isfinite(n)) or np.any(n != np.floor(n)) or np.any(n < 1):
-        raise ValueError("trials must be positive integers")
-    return np.sqrt(model.variance(phi) / n)
+    out = np.sqrt(model.variance(phi) / _check_integer("trials", trials))
+    return float(out) if out.ndim == 0 else out
 
 
 def sensitivity_from_fit(result, phi):

@@ -51,7 +51,7 @@ def _poisson_tails(mean, n_max):
     # P(X > n) for n = 0..n_max, X ~ Poisson(mean): the pmf summed from the far end down,
     # positive terms only, so nothing cancels.  The far end lies past the mean, its term below
     # 1e-17 of the tail above n_max.  If 0..n_max holds under 1e-17 of the mass, every tail is 1
-    mean = _check_real("mean_photons", mean, lambda m: 0.0 <= m < math.inf, ">= 0 and finite")
+    mean = _check_real("mean_photons", mean, lambda m: m >= 0.0, ">= 0 and finite")
     end = n_max + 64
     while True:
         pmf = np.exp(_log_weights(end, mean) - mean)
@@ -95,8 +95,8 @@ class FockTruncation:
     tail_bound: float = 1e-12
 
     def __post_init__(self):
-        _check_integer("n_max", self.n_max)
-        _check_real("tail_bound", self.tail_bound, lambda t: 0.0 < t < 1.0, "in (0, 1)")
+        vars(self).update(n_max=_check_integer("n_max", self.n_max),
+                          tail_bound=_check_real("tail_bound", self.tail_bound, lambda t: 0.0 < t < 1.0, "in (0, 1)"))
 
     @classmethod
     def for_mean_photons(cls, mean_photons, tail_bound=1e-12):

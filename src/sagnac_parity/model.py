@@ -19,7 +19,11 @@ single-imperfection case.  Every function accepts a scalar or ndarray
 ``phi`` in radians and is vectorized through numpy.  Three rules refuse an input
 with a ValueError naming it: ``_check_integer`` for integers, ``_check_real`` for
 reals (never a bool; each kept as the Python int or float it equals), ``_shape``
-for angles of 2^48/ell rad or more, or nan.
+for angles that are not real, of 2^48/ell rad or more, or nan.  One call states
+an input's whole range and its message names the end that failed: "an integer
+>= low" below it, else the caller's requirement ("finite" past the float range
+by default); a real that is inf or nan is refused as "finite" before its range.
+ell is below 2^1022 (``_check_ell``), so that 4*ell is a float.
 """
 from __future__ import annotations
 
@@ -48,29 +52,37 @@ _EXTREMUM_ROUNDING = 4.0 * np.finfo(float).eps
 _REALS = (float, int, np.floating, np.integer)
 
 
-def _check_integer(name, value, low=1, high=None, requirement=None):
-    # one check for every integer input: a Python or numpy integer, never a
-    # bool, in [low, high), returned as the Python int it equals; the message
-    # names the input and its range
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < low
-        or (high is not None and value >= high)
-    ):
-        raise ValueError(f"{name} must be {requirement or f'an integer >= {low}'}, got {_shown(value, repr)}")
-    return int(value)
+# the least int that float() refuses: the largest float plus half its last place rounds up to 2^1024
+_FLOAT_INTS_END = 2**1024 - 2**970
+
+
+def _check_integer(name, value, low=1, high=_FLOAT_INTS_END, requirement="finite"):
+    # one check for every integer input: a Python or numpy integer, never a bool, in [low, high),
+    # returned as the Python int it equals; the message names the input and the end that failed
+    number = int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
+    if number is None or number < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(value, repr)}")
+    if number >= high:
+        raise ValueError(f"{name} must be {requirement}, got {_shown(value, repr)}")
+    return number
+
+
+def _check_ell(ell):
+    # the OAM charge: 4 ell, the fringe phase's factor in _shape, stays a float
+    return _check_integer("ell", ell, 1, 2**1022, "below 2**1022")
 
 
 def _check_real(name, value, within=math.isfinite, requirement="finite"):
-    # one check for every real input: a Python or numpy real, never a bool of either kind, whose
-    # float within() accepts, returned as that Python float; the message names the input and its range
+    # one check for every real input: a Python or numpy real, never a bool of either kind, finite and
+    # accepted by within(), returned as the Python float it equals; the message names the input and,
+    # for inf, nan or an int past the float range, says "finite" before the range is checked
     try:
         number = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else None
     except OverflowError:  # an int past the float range
-        number = None
-    if number is None or not within(number):
-        raise ValueError(f"{name} must be {requirement}, got {_shown(value, str)}")
+        number = math.inf
+    if number is None or not math.isfinite(number) or not within(number):
+        shown = requirement if number is None or math.isfinite(number) else "finite"
+        raise ValueError(f"{name} must be {shown}, got {_shown(value, str)}")
     return number
 
 
@@ -92,6 +104,8 @@ def _shape(phi, decay, offset, ell):
         phi = np.asarray(phi, dtype=float)
     except OverflowError:  # an int past the float range
         phi = np.asarray(math.inf)
+    except (TypeError, ValueError):  # a complex number, a string or another object
+        raise ValueError(f"phi must be real, got {type(phi).__name__}") from None
     big = np.maximum.reduce(np.abs(phi), axis=None, initial=abs(offset))
     if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
         raise ValueError(f"angles of order {big:g} rad are too large to resolve the fringe period "
@@ -117,8 +131,7 @@ class InterferometerSpec:
     mean_photons: float
 
     def __post_init__(self):
-        vars(self)["ell"] = _check_integer("ell", self.ell)
-        _check_real("mean_photons", self.mean_photons)
+        vars(self)["ell"] = _check_ell(self.ell)
         vars(self)["mean_photons"] = _check_real("mean_photons", self.mean_photons, lambda n: n >= 0, ">= 0")
 
     @property
@@ -145,19 +158,18 @@ class FringeModel:
     headroom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_integer("ell", self.ell)
+        ell = _check_ell(self.ell)
         # zero is allowed: a profile's amplitude underflows to it under
         # heavy dark counts (r_eff > 372) or strongly unbalanced loss
-        a = _check_real("amplitude", self.amplitude, lambda a: a >= 0.0, ">= 0")
-        b = _check_real("decay", self.decay, lambda b: 0.0 <= b < math.inf, ">= 0 and finite")
+        sum_rule = ">= 0 with amplitude + floor at most 1"  # else not a parity expectation
+        a = _check_real("amplitude", self.amplitude, lambda a: 0.0 <= a <= 1.0 + 1e-12, sum_rule)
+        b = _check_real("decay", self.decay, lambda b: b >= 0.0, ">= 0 and finite")
         # 2 ell decay is the slope's first factor; past the float range delta_phi reads 0 or nan
-        if not math.isfinite(2.0 * self.ell * b):
-            raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {self.ell}")
-        c = _check_real("floor", self.floor, lambda c: c >= 0.0, ">= 0")
-        if a + c > 1.0 + 1e-12:
-            raise ValueError("amplitude + floor exceeds 1; not a parity expectation")
+        if not math.isfinite(2.0 * ell * b):
+            raise ValueError(f"decay must be >= 0 with 2*ell*decay finite, got {self.decay} at ell {ell}")
+        c = _check_real("floor", self.floor, lambda c: c >= 0.0 and a + c <= 1.0 + 1e-12, sum_rule)
         offset = _check_real("offset", self.offset)
-        vars(self).update(amplitude=a, decay=b, floor=c, offset=offset, headroom=max(1.0 - a - c, 0.0))
+        vars(self).update(ell=ell, amplitude=a, decay=b, floor=c, offset=offset, headroom=max(1.0 - a - c, 0.0))
 
     @property
     def period(self) -> float:
@@ -214,8 +226,8 @@ class ImperfectionProfile:
         values = vars(self)
         for name in ("eta", "t_a", "t_b", "kappa"):
             values[name] = _check_real(name, getattr(self, name), lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-        values["dark_rate"] = _check_real("dark_rate", self.dark_rate, lambda r: 0.0 <= r < math.inf, "finite and >= 0")
-        values["jitter_factor"] = _check_real("jitter_factor", self.jitter_factor, lambda j: 1.0 <= j < math.inf, ">= 1")
+        values["dark_rate"] = _check_real("dark_rate", self.dark_rate, lambda r: r >= 0.0, "finite and >= 0")
+        values["jitter_factor"] = _check_real("jitter_factor", self.jitter_factor, lambda j: j >= 1.0, ">= 1")
 
     @property
     def effective_dark_rate(self) -> float:

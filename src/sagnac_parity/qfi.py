@@ -35,27 +35,25 @@ class QfiProtocol(Enum):
 
 def qfi_si(ell, mean_photons):
     """QFI of the Sagnac loop, 16 ell^2 N."""
-    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
-    return 16.0 * ell * ell * n
+    spec = InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
+    return 16.0 * spec.ell * spec.ell * spec.mean_photons
 
 
 def qfi_mzi(ell, mean_photons):
     """QFI of the single-prism Mach-Zehnder, 8 ell^2 N."""
-    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
-    return 8.0 * ell * ell * n
+    spec = InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
+    return 8.0 * spec.ell * spec.ell * spec.mean_photons
 
 
 def qfi_mzi_phase_averaged(ell, mean_photons):
     """QFI of the phase-averaged Mach-Zehnder, the Poisson mean sum_n p_n 4 ell^2 n = 4 ell^2 N."""
-    n = InterferometerSpec(ell, mean_photons).mean_photons  # checks ell and mean_photons
-    return 4.0 * ell * ell * n
+    spec = InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
+    return 4.0 * spec.ell * spec.ell * spec.mean_photons
 
 
 def crb_sensitivity(fisher_information, trials=1):
     """Cramer-Rao bound 1/sqrt(trials * F), finite also where trials * F overflows; zero F gives +inf."""
-    _check_integer("trials", trials)
-    trials = _check_real("trials", trials)
-    _check_real("Fisher information", fisher_information)
+    trials = _check_integer("trials", trials)
     f = _check_real("Fisher information", fisher_information, lambda f: f >= 0, ">= 0")
     if f == 0:
         return math.inf

@@ -278,16 +278,20 @@ def test_missing_required_option_is_a_json_error(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["curve", "--ell", "1", "--n", "2", "--points", "1"], "points must be >= 2"),
+        (["curve", "--ell", "1", "--n", "2", "--points", "1"], "points must be an integer >= 2, got 1"),
         (["curve", "--ell", "1", "--n", "2", "--variants", ""], "no variants requested"),
         (["metrics", "--n", "2"], "--ell is required"),
-        (["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"], "at least one point"),
-        (["metrics", "--ell", "1", "--n", "1e308"], "decay must be >= 0 and finite, got inf"),
+        (["metrics", "--ell", "1", "--n-sweep", "1", "2", "0"], "sweep points must be an integer >= 1, got 0"),
+        (["metrics", "--ell", "1", "--n", "1e308"], "decay must be finite, got inf"),
         # decay 1e308 is finite, but 2 ell decay in the fringe's slope is not
         (["metrics", "--table", "sensitivity", "--ell", "1", "--n", "5e307", "--dark-rate", "0.01", "--points", "3"],
          "decay must be >= 0"),
+        # a charge past 2**1022, where 4 ell is no float, is refused by name
+        (["curve", "--ell", str(10**400), "--n", "2"], f"ell must be below 2**1022, got {10**400}"),
+        (["qfi", "--ell", str(10**400), "--n", "2"], f"ell must be below 2**1022, got {10**400}"),
     ],
-    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep", "decay-overflow", "slope-overflow"],
+    ids=["one-point", "no-variants", "metrics-without-ell", "empty-sweep", "decay-overflow", "slope-overflow",
+         "curve-ell-huge", "qfi-ell-huge"],
 )
 def test_bad_table_inputs_are_json_errors(capsys, argv, message):
     rc, out, err = _run(argv, capsys)

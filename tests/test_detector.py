@@ -315,6 +315,8 @@ def test_scan_rejects_a_nan_angle():
             scan(spec, DetectorModel(units=8), grid, 100)
         with pytest.raises(ValueError, match="phi"):
             simulate(spec, bad, DetectorModel(units=8), 100)
+    with pytest.raises(ValueError, match="^phi must be real, got complex$"):
+        simulate(spec, 1j, DetectorModel(), 5)
 
 
 def test_scan_point_seeds_differ():

@@ -63,7 +63,7 @@ def test_spec_rejects_a_bool_mean_photons(n):
         ({"floor": -0.1}, "floor must be >= 0"),
         ({"offset": math.inf}, "offset must be finite"),
         ({"offset": math.nan}, "offset must be finite"),
-        ({"decay": math.inf}, "decay must be >= 0"),
+        ({"decay": math.inf}, "decay must be finite"),
         # 2 ell decay, the slope's factor, overflows; decay 5e307 at ell 1 is fine
         ({"decay": 5e307, "ell": 2}, "decay must be >= 0"),
         # a bool is no real parameter, as it is no integer input in _check_integer
@@ -86,7 +86,7 @@ def test_spec_rejects_a_bool_mean_photons(n):
         ({"offset": "0"}, "offset must be finite"),
         # an int past the float range, and int64 parameters whose int64 sum wraps negative
         ({"offset": 10**400}, "offset must be finite"),
-        ({"amplitude": np.int64(2**62), "decay": 1e-3, "floor": np.int64(2**62)}, "amplitude \\+ floor exceeds 1"),
+        ({"amplitude": np.int64(2**62), "decay": 1e-3, "floor": np.int64(2**62)}, "amplitude \\+ floor at most 1"),
     ],
 )
 def test_fringe_model_rejects_out_of_range_parameters(kwargs, message):
@@ -281,3 +281,10 @@ def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
             sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), phi)
     with pytest.raises(ValueError, match="angles of order 1e\\+300 rad"):
         FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(0.0)
+
+
+def test_the_angle_rule_refuses_an_angle_that_is_not_real():
+    model = ImperfectionProfile(dark_rate=0.01).fringe(InterferometerSpec(ell=1, mean_photons=2.0))
+    for phi, kind in ((1j, "complex"), (object(), "object"), ([0.1, 1j], "list")):
+        with pytest.raises(ValueError, match=f"^phi must be real, got {kind}$"):
+            sensitivity(model, phi)

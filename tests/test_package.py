@@ -74,15 +74,15 @@ def test_package_namespace_is_the_modules_all_lists():
 
 def test_modules_share_only_the_input_rules_and_the_experiment_helpers():
     # a private name imported across modules is an API nobody declared: the
-    # shared ones are the integer and real checks and the fringe shape, and
+    # shared ones are the integer, charge and real checks and the fringe shape, and
     # the size caps and serializers that cli takes from experiment
     imported = set()
     for path in Path(sagnac_parity.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sagnac_parity")):
                 imported |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert imported == {"_check_integer", "_check_real", "_shape", "_jsonable", "_write_csv", "_MAX_POINTS",
-                        "_MAX_TRIALS"}
+    assert imported == {"_check_integer", "_check_ell", "_check_real", "_shape", "_jsonable", "_write_csv",
+                        "_MAX_POINTS", "_MAX_TRIALS"}
 
 
 def test_only_the_input_rules_refuse_a_bool():
@@ -103,3 +103,25 @@ def test_only_the_input_rules_refuse_a_bool():
             ):
                 sites.append(f"{module.__name__}:{node.lineno}")
     assert sites == []
+
+
+def test_each_input_is_checked_by_one_call():
+    # one call of an input rule states an input's whole range and returns the value to compute
+    # from; a function that calls a rule twice with the same literal name checks one input twice
+    repeats = []
+    for path in sorted(Path(sagnac_parity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            names = [
+                node.args[0].value
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("_check_integer", "_check_real")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ]
+            repeats += [f"{path.stem}:{function.lineno} {function.name} {name}"
+                        for name in sorted(set(names)) if names.count(name) > 1]
+    assert repeats == []

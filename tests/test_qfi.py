@@ -111,7 +111,9 @@ def test_crb_sensitivity_rejects_negative_information():
 @pytest.mark.parametrize("information", [math.nan, math.inf, -math.inf, np.True_, np.False_, "1", None],
                          ids=["nan", "inf", "-inf", "numpy-true", "numpy-false", "str", "none"])
 def test_crb_sensitivity_rejects_non_finite_information(information):
-    with pytest.raises(ValueError, match="Fisher information must be finite"):
+    # a non-finite number is refused as such before the range; what is no real number gets the range
+    finite = isinstance(information, float)
+    with pytest.raises(ValueError, match=f"^Fisher information must be {'finite' if finite else '>= 0'}, got "):
         crb_sensitivity(information)
 
 

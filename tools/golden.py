@@ -125,6 +125,7 @@ def _error_calls():
         "curve-no-n": ["curve", "--ell", "1"],
         "curve-ell-0": ["curve", "--ell", "0", "--n", "2"],
         "curve-ell-float": ["curve", "--ell", "1.5", "--n", "2"],
+        "curve-ell-huge": ["curve", "--ell", str(10**400), "--n", "2"],
         "curve-n-negative": ["curve", "--ell", "1", "--n", "-1"],
         "curve-points-1": ["curve", *fringe, "--points", "1"],
         "curve-no-variants": ["curve", *fringe, "--variants", ""],
@@ -151,6 +152,7 @@ def _error_calls():
         "metrics-sweep-float": ["metrics", "--ell", "1", "--n-sweep", "1", "2", "2.5"],
         "metrics-bad-table": ["metrics", *fringe, "--table", "bogus"],
         "qfi-no-n": ["qfi", "--ell", "1"],
+        "qfi-ell-huge": ["qfi", "--ell", str(10**400), "--n", "2"],
         "qfi-trials-0": ["qfi", *fringe, "--trials", "0"],
         "qfi-trials-huge": ["qfi", *fringe, "--trials", str(10**400)],
         "experiment-points-0": ["experiment", "--points", "0"],
