@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImperfectionProfile, _check_integer, _shape
+from .model import ImperfectionProfile, _check_integer, _check_reals, _shape
 
 __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan", "credibility"]
 
@@ -103,7 +103,9 @@ class DetectorRun:
 def _click_probability(spec, phi, model):
     # the click law of one unit at angle phi: its light x = kappa N sin^2(2 ell phi)/M and its
     # dark trigger q = r_eff/M give p = 1 - (1 - q) e^{-x}, written so it does not cancel when p is tiny
-    s = float(_shape(phi, 0.0, 0.0, spec.ell)[1])
+    s = _shape(phi, 0.0, 0.0, spec.ell)[1]
+    if s.ndim:  # a readout is taken at one angle
+        raise ValueError(f"phi must be one angle, got an array of shape {s.shape}")
     x = model.kappa * (spec.mean_photons * s * s) / model.units
     q = model.effective_dark_rate / model.units
     return -math.expm1(-x) + q * math.exp(-x)
@@ -240,7 +242,7 @@ def scan(spec, model, phi_grid, trials_per_point):
     from concurrent.futures import ThreadPoolExecutor
 
     trials = _check_integer("trials", trials_per_point)
-    phi_grid = np.asarray(phi_grid, dtype=float)
+    phi_grid = _check_reals("phi_grid", phi_grid)
     if phi_grid.ndim != 1 or phi_grid.size == 0:
         raise ValueError("phi_grid must be a non-empty 1-D array")
 
@@ -262,12 +264,9 @@ def credibility(empirical, theoretical):
     value; the shorter one is zero-padded to the shared support.  Identical
     histograms give 1.0, disjoint ones 0.0.
     """
-    x = np.asarray(empirical, dtype=float)
-    y = np.asarray(theoretical, dtype=float)
+    x, y = _check_reals("empirical", empirical), _check_reals("theoretical", theoretical)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
         raise ValueError("histograms must be non-empty 1-D arrays")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("histogram entries must be finite")
     if np.any(x < 0) or np.any(y < 0):
         raise ValueError("histogram entries must be nonnegative")
     for name, h in (("empirical", x), ("theoretical", y)):

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .metrics import fringe_figures, min_sensitivity, sensitivity
-from .model import FringeModel, _check_ell, _check_integer, _shape
+from .model import FringeModel, _check_ell, _check_integer, _check_reals, _shape
 
 __all__ = [
     "FitResult",
@@ -72,16 +72,14 @@ class FitResult:
 
 
 def _as_data(data):
-    arr = np.asarray(data, dtype=float)
+    arr = _check_reals("data", data)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3) or arr.shape[0] < 4:
         raise ValueError("data must be an (n>=4, 2|3) array of (phi, value[, sigma]) rows")
     if arr.shape[1] == 2:
         arr = np.column_stack([arr, np.ones(arr.shape[0])])
     if np.any(arr[:, 2] <= 0):
         raise ValueError("sigmas must be positive")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data contains non-finite entries")
-    return arr[np.argsort(arr[:, 0])]
+    return arr[np.argsort(arr[:, 0], kind="stable")]  # rows at one angle keep their order
 
 
 def _initial_guess(phi, y, ell, period):
@@ -277,8 +275,7 @@ def _rows_from_columns(columns, rows):
         raise ValueError(f"malformed data row: {exc}") from None
     if out.size == 0:
         raise ValueError("table has no data rows")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("table contains non-finite entries")
+    out = _check_reals("table cells", out)
     if phi_col == "phi_deg":
         out[:, 0] = np.radians(out[:, 0])
     return out

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImperfectionProfile, InterferometerSpec, parity_expectation
+from .model import ImperfectionProfile, InterferometerSpec, _check_reals, parity_expectation
 
 __all__ = [
     "ParityCurve",
@@ -57,12 +57,9 @@ class ParityCurve:
     profile: ImperfectionProfile | None = None
 
     def __post_init__(self):
-        phi = np.asarray(self.phi_grid, dtype=float)
-        val = np.asarray(self.values, dtype=float)
+        phi, val = _check_reals("phi_grid", self.phi_grid), _check_reals("values", self.values)
         if phi.ndim != 1 or phi.shape != val.shape or phi.size < 2:
             raise ValueError("phi_grid and values must be matching 1-D arrays")
-        if not (np.isfinite(phi).all() and np.isfinite(val).all()):
-            raise ValueError("phi_grid and values must be finite")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi_grid must be strictly increasing")
         # exact zeros are kept: a deep fringe underflows at its trough
@@ -70,13 +67,12 @@ class ParityCurve:
             raise ValueError("parity expectations must lie in [0, 1]")
         if not np.any(val > 0.0):
             raise ValueError("parity curve is zero everywhere; there is no fringe")
-        object.__setattr__(self, "phi_grid", phi)
-        object.__setattr__(self, "values", val)
+        vars(self).update(phi_grid=phi, values=val)
 
 
 def parity_curve(spec, profile, phi_grid):
     """Sample parity_expectation on a grid and package it as a ParityCurve."""
-    phi = np.asarray(phi_grid, dtype=float)
+    phi = _check_reals("phi_grid", phi_grid)  # named as the grid before the fringe reads it as phi
     return ParityCurve(
         phi_grid=phi,
         values=parity_expectation(spec, phi, profile),

@@ -18,12 +18,12 @@ evaluates it, and each ``parity_expectation_<family>`` function is the
 single-imperfection case.  Every function accepts a scalar or ndarray
 ``phi`` in radians and is vectorized through numpy.  Three rules refuse an input
 with a ValueError naming it: ``_check_integer`` for integers, ``_check_real`` for
-reals (never a bool; each kept as the Python int or float it equals), ``_shape``
-for angles that are not real, of 2^48/ell rad or more, or nan.  One call states
-an input's whole range and its message names the end that failed: "an integer
->= low" below it, else the caller's requirement ("finite" past the float range
-by default); a real that is inf or nan is refused as "finite" before its range.
-ell is below 2^1022 (``_check_ell``), so that 4*ell is a float.
+reals and ``_check_reals`` for arrays of reals (never a bool, string or complex;
+each kept as the Python number, or float64 array, it equals).  One call states an
+input's whole range and its message names the end that failed: "an integer >= low"
+below it, else the caller's requirement ("finite" past the float range by default);
+inf and nan are refused as "finite" first.  ell is below 2^1022 (``_check_ell``), so
+that 4*ell is a float; ``_shape`` refuses angles of 2^48/ell rad or more.
 """
 from __future__ import annotations
 
@@ -86,6 +86,27 @@ def _check_real(name, value, within=math.isfinite, requirement="finite"):
     return number
 
 
+def _check_reals(name, value):
+    # _check_real for arrays: ints and floats of any width, alone or nested, returned as np.asarray(value, dtype=float).
+    # Each entry's type, or the dtype, is read before numpy casts: a bool, str, complex or ragged nest is not real
+    array = np.asarray(value, dtype=object if isinstance(value, (list, tuple)) else None)
+    if array.dtype.kind == "O":  # a list, ints past 64 bits or other objects: each entry must be a real number
+        real = all(isinstance(x, _REALS) and not isinstance(x, bool) for x in array.flat)
+    else:
+        real = array.dtype.kind in "iuf"
+    if not real:
+        raise ValueError(f"{name} must be real, got {type(value).__name__}")
+    try:
+        with np.errstate(over="ignore"):  # a longdouble past the float range casts to inf, refused below
+            numbers = np.asarray(array, dtype=float)
+    except OverflowError:  # an int past the float range
+        numbers = np.asarray(math.inf)
+    if not np.isfinite(numbers).all():
+        for x in array.flat:  # the first entry that is not finite is refused by the scalar rule, in its words
+            _check_real(name, x)
+    return numbers
+
+
 def _shown(value, text):
     # text(value) for a refusal message; an int too long for Python to print shows its digit count
     try:
@@ -100,16 +121,11 @@ def _shown(value, text):
 def _shape(phi, decay, offset, ell):
     # delta = phi - offset, s = sin(2 ell delta), exp(-decay s^2), also for fit iterates with a + c > 1.  The angle rule
     # stops where derivative's extremum cut zeroes all slopes, on the raw angles: a small delta of huge ones is no finer
-    try:
-        phi = np.asarray(phi, dtype=float)
-    except OverflowError:  # an int past the float range
-        phi = np.asarray(math.inf)
-    except (TypeError, ValueError):  # a complex number, a string or another object
-        raise ValueError(f"phi must be real, got {type(phi).__name__}") from None
+    phi = _check_reals("phi", phi)
     big = np.maximum.reduce(np.abs(phi), axis=None, initial=abs(offset))
     if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
         raise ValueError(f"angles of order {big:g} rad are too large to resolve the fringe period "
-                         f"{math.pi / (2.0 * ell):g} rad in floating point (phi must be finite)")
+                         f"{math.pi / (2.0 * ell):g} rad in floating point")
     delta = phi - offset
     s = np.sin(2 * ell * delta)
     return delta, s, np.exp(-decay * s * s)

@@ -709,13 +709,7 @@ def _bad_value(key):
     return st.one_of(junk, st.sampled_from(numbers))
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_config_files_fail_only_the_documented_way(data, tmp_path, capsys, monkeypatch):
     # a run exits 0 with nothing on stderr, or 2 with one line of JSON

@@ -319,6 +319,16 @@ def test_scan_rejects_a_nan_angle():
         simulate(spec, 1j, DetectorModel(), 5)
 
 
+def test_simulate_reads_out_at_one_angle():
+    # an array of angles raised numpy's TypeError
+    spec = InterferometerSpec(ell=1, mean_photons=1.0)
+    for phi in ([0.1, 0.2], [0.3], np.array([[0.3]])):
+        with pytest.raises(ValueError, match=r"^phi must be one angle, got an array of shape \("):
+            simulate(spec, phi, DetectorModel(units=8), 5)
+    zero_d, scalar = (simulate(spec, phi, DetectorModel(units=8), 5) for phi in (np.array(0.3), 0.3))
+    assert repr(zero_d) == repr(scalar)
+
+
 def test_scan_point_seeds_differ():
     assert _point_seed(0, 0) != _point_seed(0, 1)
     assert _point_seed(1, 0) != _point_seed(0, 0)

@@ -266,8 +266,9 @@ def test_fringe_falls_away_from_peak():
 @pytest.mark.parametrize("ell", [1, 4])
 def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
     # past 4 ell |phi| = 2^50 the derivative's extremum cut zeroes every slope:
-    # the fringe evaluates just below the edge and is refused at it, as are a
-    # nan phi and a huge offset, wherever the fringe is evaluated
+    # the fringe evaluates just below the edge and is refused at it, as is a
+    # huge offset, wherever the fringe is evaluated; a nan phi and an int past
+    # the float range are refused first, as not finite
     spec = InterferometerSpec(ell=ell, mean_photons=2.0)
     edge = 2**48 / ell
     assert 0.0 <= parity_expectation(spec, math.nextafter(edge, 0), ImperfectionProfile()) <= 1.0
@@ -277,7 +278,7 @@ def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
     with pytest.raises(ValueError, match="phi must be finite"):
         sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), math.nan)
     for phi in (10**400, [0.0, -(10**400)]):  # ints past the float range
-        with pytest.raises(ValueError, match="angles of order inf rad"):
+        with pytest.raises(ValueError, match="^phi must be finite, got -?10{400}$"):
             sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), phi)
     with pytest.raises(ValueError, match="angles of order 1e\\+300 rad"):
         FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(0.0)

@@ -74,29 +74,30 @@ def test_package_namespace_is_the_modules_all_lists():
 
 def test_modules_share_only_the_input_rules_and_the_experiment_helpers():
     # a private name imported across modules is an API nobody declared: the
-    # shared ones are the integer, charge and real checks and the fringe shape, and
-    # the size caps and serializers that cli takes from experiment
+    # shared ones are the integer, charge, real and real-array checks and the fringe
+    # shape, and the size caps and serializers that cli takes from experiment
     imported = set()
     for path in Path(sagnac_parity.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sagnac_parity")):
                 imported |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert imported == {"_check_integer", "_check_ell", "_check_real", "_shape", "_jsonable", "_write_csv",
-                        "_MAX_POINTS", "_MAX_TRIALS"}
+    assert imported == {"_check_integer", "_check_ell", "_check_real", "_check_reals", "_shape", "_jsonable",
+                        "_write_csv", "_MAX_POINTS", "_MAX_TRIALS"}
 
 
 def test_only_the_input_rules_refuse_a_bool():
-    # the integer and real rules in model are the library's only bool refusals; an
-    # isinstance(..., bool) anywhere else is a second, hand-written rule for an input
+    # the integer, real and real-array rules in model are the library's only bool refusals;
+    # an isinstance or issubclass(..., bool) anywhere else is a second, hand-written rule for an input
     sites = []
     for module in (model, fock, qfi, detector, metrics, fit):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-        rules = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_check_integer", "_check_real")]
+        rules = [f for f in tree.body
+                 if isinstance(f, ast.FunctionDef) and f.name in ("_check_integer", "_check_real", "_check_reals")]
         exempt = {id(node) for rule in rules for node in ast.walk(rule)}
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "isinstance"
+                and getattr(node.func, "id", None) in ("isinstance", "issubclass")
                 and len(node.args) == 2
                 and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])} & {"bool", "bool_"}
                 and id(node) not in exempt

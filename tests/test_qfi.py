@@ -30,6 +30,14 @@ def test_closed_form_fisher_information(ell, n, expected_si, expected_mzi):
     assert qfi_si(ell, n) == 2.0 * qfi_mzi(ell, n)
 
 
+@pytest.mark.parametrize("ell", [1, 2**510, 2**600, 2**1021], ids=["1", "2**510", "2**600", "2**1021"])
+def test_no_photons_carry_no_information_at_any_charge(ell):
+    # 16 ell^2 overflows from ell of about 2^510, and inf * 0 was nan
+    assert qfi_si(ell, 0.0) == qfi_mzi(ell, 0.0) == qfi_mzi_phase_averaged(ell, 0.0) == 0.0
+    for protocol in QfiProtocol:
+        assert qfi_report(protocol, ell, 0.0) == QfiReport(fisher_information=0.0, bound=math.inf)
+
+
 def test_phase_averaged_fisher_information_frozen_values():
     assert qfi_mzi_phase_averaged(1, 1.0) == 4.0
     assert qfi_mzi_phase_averaged(1, 2.297) == 4.0 * 2.297

@@ -103,6 +103,7 @@ def _tables_calls():
         _call("qfi-trials", "qfi", "--ell", "2", "--n", "5", "--trials", "1000"),
         _call("qfi-json", "qfi", "--ell", "4", "--n", "30", "--format", "json"),
         _call("qfi-huge-trials", "qfi", "--ell", "1", "--n", "2", "--trials", "1000000000000"),
+        _call("qfi-ell-huge-n-0", "qfi", "--ell", 2**600, "--n", "0"),
     ]
     for ell in (1, 2, 3, 4):
         calls.append(_call(f"metrics-all-l{ell}", "metrics", "--ell", ell, "--n", "2.297", *_EVERY_FLAG))
