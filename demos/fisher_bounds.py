@@ -16,7 +16,6 @@ from sagnac_parity import (
     FockTruncation,
     ImperfectionProfile,
     InterferometerSpec,
-    QfiProtocol,
     crb_sensitivity,
     joint_distribution,
     min_sensitivity,
@@ -50,8 +49,8 @@ for ell, n in ((1, 1.0), (1, 10.0), (3, 10.0), (5, 20.0)):
 print()
 print("bound vs number of repetitions (ell=1, N=2.297):")
 for nu in (1, 10, 100, 10_000):
-    report = qfi_report(QfiProtocol.SI, 1, 2.297, trials=nu)
-    print(f"  nu={nu:>6}: dphi_min = {report.bound:.6f} rad")
+    bound = qfi_report(1, 2.297, trials=nu)["bound_si"]
+    print(f"  nu={nu:>6}: dphi_min = {bound:.6f} rad")
 
 # the phase-averaged information is 4 ell^2 times the mean photon number:
 # summed term by term over the truncated Fock lattice, sum_n p_n 4 ell^2 n

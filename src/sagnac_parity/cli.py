@@ -257,26 +257,8 @@ def _cmd_metrics(args):
 
 def _cmd_qfi(args):
     spec = _spec_from(args)
-    reports = [qfi.qfi_report(protocol, spec.ell, spec.mean_photons, args.trials) for protocol in qfi.QfiProtocol]
-    row = (
-        spec.ell,
-        spec.mean_photons,
-        args.trials,
-        *(r.fisher_information for r in reports),
-        *(r.bound for r in reports),
-    )
-    columns = [
-        "ell",
-        "n",
-        "trials",
-        "f_si",
-        "f_mzi",
-        "f_phase_avg",
-        "bound_si",
-        "bound_mzi",
-        "bound_phase_avg",
-    ]
-    return "qfi", columns, [row]
+    table = qfi.qfi_report(spec.ell, spec.mean_photons, args.trials)
+    return "qfi", ["ell", "n", "trials", *table], [(spec.ell, spec.mean_photons, args.trials, *table.values())]
 
 
 def _cmd_experiment(args):

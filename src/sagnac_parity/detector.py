@@ -265,13 +265,13 @@ def credibility(empirical, theoretical):
     histograms give 1.0, disjoint ones 0.0.
     """
     x, y = _check_reals("empirical", empirical), _check_reals("theoretical", theoretical)
-    if x.ndim != 1 or y.ndim != 1 or x.size == 0 or y.size == 0:
-        raise ValueError("histograms must be non-empty 1-D arrays")
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("histogram entries must be nonnegative")
     for name, h in (("empirical", x), ("theoretical", y)):
+        if h.ndim != 1 or h.size == 0:
+            raise ValueError(f"{name} must be a non-empty 1-D array")
+        if np.any(h < 0):
+            raise ValueError(f"{name} must be nonnegative")
         if abs(h.sum() - 1.0) > 1e-6:
-            raise ValueError(f"{name} histogram is not normalized (sum {h.sum():g})")
+            raise ValueError(f"{name} must sum to 1, got a sum of {h.sum():g}")
     n = max(x.size, y.size)
     xp = np.zeros(n)
     yp = np.zeros(n)

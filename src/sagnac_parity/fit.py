@@ -13,7 +13,10 @@ rate of the apparatus.
 The solver is this module's own: Marquardt-damped Gauss-Newton (SIAM J.
 Appl. Math. 11, 431 (1963)) in the parameters' box, its steps and covariance
 solved in column-scaled coordinates (J^T J at unit diagonal) so that the
-offset's column, growing with ell, cannot swamp the others.  A parameter on
+offset's column, growing with ell, cannot swamp the others.  Each column is
+first scaled by the power of two that brings it to order 1, exactly, so that
+J^T J cannot overflow; a fit is refused only where an entry of the Jacobian
+itself does, from ell of about 2^1010.  A parameter on
 a bound where the gradient points out of the box stays; the others' step is
 clipped into the box and kept only if it lowers the cost.  It stops once a
 kept step lowers the cost by at most 1e-10 of itself, or once a step is at
@@ -78,7 +81,7 @@ def _as_data(data):
     if arr.shape[1] == 2:
         arr = np.column_stack([arr, np.ones(arr.shape[0])])
     if np.any(arr[:, 2] <= 0):
-        raise ValueError("sigmas must be positive")
+        raise ValueError("data sigmas must be positive")
     return arr[np.argsort(arr[:, 0], kind="stable")]  # rows at one angle keep their order
 
 
@@ -189,12 +192,14 @@ def least_squares(fun, x0, jac, bounds, max_nfev):
     f, J = fun(x), jac(x)
     nfev, status, damping = 1, 0, 1e-3
     while status == 0 and nfev < max_nfev:
-        g = J.T @ f
+        scale = _column_scale(J)
+        Js = J * scale
+        g = Js.T @ f
         free = ~((x <= lower) & (g > 0) | (x >= upper) & (g < 0))
-        A = J[:, free].T @ J[:, free]
-        d = np.sqrt(np.where(np.diag(A) > 0.0, np.diag(A), 1.0))
+        # two copies of the free columns: numpy rounds a product of one array with its own transpose otherwise
+        A, d = _unit_diagonal(Js[:, free].T @ Js[:, free])
         step = np.zeros_like(x)
-        step[free] = np.linalg.lstsq(A / np.outer(d, d) + damping * np.eye(d.size), -g[free] / d, rcond=None)[0] / d
+        step[free] = np.linalg.lstsq(A + damping * np.eye(d.size), -g[free] / d, rcond=None)[0] / d * scale[free]
         trial = np.clip(x + step, lower, upper)
         f_trial = fun(trial)
         nfev += 1
@@ -206,6 +211,18 @@ def least_squares(fun, x0, jac, bounds, max_nfev):
         else:
             damping *= 10.0
     return SimpleNamespace(x=x, fun=f, jac=J, status=status, nfev=nfev)
+
+
+def _column_scale(J):
+    # per column the power of two that brings its largest entry to [0.5, 1): exact, so the solver's and the
+    # covariance's arithmetic is the unscaled one bit for bit where that is finite, and J^T J cannot overflow
+    return np.ldexp(1.0, -np.frexp(np.abs(J).max(axis=0))[1])
+
+
+def _unit_diagonal(A):
+    # A at unit diagonal, and the roots d of its diagonal that it was divided by (1 where that is 0)
+    d = np.sqrt(np.where(np.diag(A) > 0.0, np.diag(A), 1.0))
+    return A / np.outer(d, d), d
 
 
 def _package(res, ell, floor):
@@ -223,11 +240,13 @@ def _package(res, ell, floor):
         "super_resolution_factor": factor,
     }
 
-    jtj = res.jac.T @ res.jac
-    d = np.sqrt(np.where(np.diag(jtj) > 0.0, np.diag(jtj), 1.0))
-    cov_diag = np.diag(np.linalg.pinv(jtj / np.outer(d, d))) / (d * d)
+    scale = _column_scale(res.jac)
+    Js = res.jac * scale
+    A, d = _unit_diagonal(Js.T @ Js)
+    # each root is taken before the scale comes back: the squared scale may underflow
+    errors = np.sqrt(np.maximum(np.diag(np.linalg.pinv(A)) / (d * d), 0.0)) * scale
     names = ["amplitude", "decay", "offset"] + (["floor"] if floor == "free" else [])
-    stderr = {k: float(math.sqrt(max(v, 0.0))) for k, v in zip(names, cov_diag)}
+    stderr = {k: float(v) for k, v in zip(names, errors)}
     if floor == "peak":
         stderr["floor"] = stderr["amplitude"]  # c = 1 - a
 

@@ -64,7 +64,7 @@ class ParityCurve:
             raise ValueError("phi_grid must be strictly increasing")
         # exact zeros are kept: a deep fringe underflows at its trough
         if np.any(val < 0.0) or np.any(val > 1.0 + 1e-12):
-            raise ValueError("parity expectations must lie in [0, 1]")
+            raise ValueError("values must be in [0, 1]")
         if not np.any(val > 0.0):
             raise ValueError("parity curve is zero everywhere; there is no fringe")
         vars(self).update(phi_grid=phi, values=val)

@@ -23,7 +23,7 @@ each kept as the Python number, or float64 array, it equals).  One call states a
 input's whole range and its message names the end that failed: "an integer >= low"
 below it, else the caller's requirement ("finite" past the float range by default);
 inf and nan are refused as "finite" first.  ell is below 2^1022 (``_check_ell``), so
-that 4*ell is a float; ``_shape`` refuses angles of 2^48/ell rad or more.
+that 4*ell is a float; ``_shape`` refuses a phi or offset of 2^48/ell rad or more.
 """
 from __future__ import annotations
 
@@ -122,10 +122,10 @@ def _shape(phi, decay, offset, ell):
     # delta = phi - offset, s = sin(2 ell delta), exp(-decay s^2), also for fit iterates with a + c > 1.  The angle rule
     # stops where derivative's extremum cut zeroes all slopes, on the raw angles: a small delta of huge ones is no finer
     phi = _check_reals("phi", phi)
-    big = np.maximum.reduce(np.abs(phi), axis=None, initial=abs(offset))
-    if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
-        raise ValueError(f"angles of order {big:g} rad are too large to resolve the fringe period "
-                         f"{math.pi / (2.0 * ell):g} rad in floating point")
+    for name, big in (("phi", np.maximum.reduce(np.abs(phi), axis=None, initial=0.0)), ("offset", abs(offset))):
+        if not big < 1.0 / (4 * ell * _EXTREMUM_ROUNDING):
+            raise ValueError(f"{name} of order {big:g} rad is too large to resolve the fringe period "
+                             f"{math.pi / (2.0 * ell):g} rad in floating point")
     delta = phi - offset
     s = np.sin(2 * ell * delta)
     return delta, s, np.exp(-decay * s * s)

@@ -6,19 +6,16 @@ counter-propagating directions (generator 4*ell*Jz), giving F = 16 ell^2 N;
 a single-prism Mach-Zehnder carries half the phase (generator 2*ell*n_a)
 and F = 8 ell^2 N.  Averaging the Mach-Zehnder over an unknown reference
 phase leaves the photon-number-diagonal part only, the Poisson mean
-F = sum_n p_n 4 ell^2 n = 4 ell^2 N.
+F = sum_n p_n 4 ell^2 n = 4 ell^2 N.  :func:`qfi_report` is the ``qfi``
+command's table: the three informations and their Cramer-Rao bounds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .model import InterferometerSpec, _check_integer, _check_real
 
 __all__ = [
-    "QfiProtocol",
-    "QfiReport",
     "qfi_si",
     "qfi_mzi",
     "qfi_mzi_phase_averaged",
@@ -27,17 +24,13 @@ __all__ = [
 ]
 
 
-class QfiProtocol(Enum):
-    SI = "si"
-    MZI = "mzi"
-    MZI_PHASE_AVERAGED = "mzi-phase-averaged"
-
-
 def _fisher(k, ell, mean_photons):
-    # k ell^2 N, exactly 0 at N = 0, where ell^2 may overflow (inf * 0 is nan).  k, a power of two, multiplies
-    # last: bit for bit k * ell * ell * N where that is finite, and the three QFIs keep their 4:2:1 where it is not
+    # k ell^2 N, exactly 0 at N = 0, where ell^2 may overflow (inf * 0 is nan).  Where ell^2 overflows, ell N ell
+    # may not.  k, a power of two, multiplies last: bit for bit k * ell * ell * N where ell^2 is finite, and the
+    # three QFIs keep their 4:2:1 everywhere
     spec = InterferometerSpec(ell, mean_photons)  # checks ell and mean_photons
-    return k * (float(spec.ell) * spec.ell * spec.mean_photons) if spec.mean_photons else 0.0
+    ell, n = float(spec.ell), spec.mean_photons
+    return k * (ell * ell * n if ell * ell < math.inf else ell * n * ell) if n else 0.0
 
 
 def qfi_si(ell, mean_photons):
@@ -65,22 +58,8 @@ def crb_sensitivity(fisher_information, trials=1):
     return 1.0 / (math.sqrt(product) if product < math.inf else math.sqrt(trials) * math.sqrt(f))
 
 
-@dataclass(frozen=True)
-class QfiReport:
-    """One protocol's Fisher information and the matching Cramer-Rao bound."""
-
-    fisher_information: float
-    bound: float
-
-
-def qfi_report(protocol, ell, mean_photons, trials=1):
-    """Build a QfiReport for one protocol at the given resources."""
-    if protocol is QfiProtocol.SI:
-        f = qfi_si(ell, mean_photons)
-    elif protocol is QfiProtocol.MZI:
-        f = qfi_mzi(ell, mean_photons)
-    elif protocol is QfiProtocol.MZI_PHASE_AVERAGED:
-        f = qfi_mzi_phase_averaged(ell, mean_photons)
-    else:
-        raise TypeError(f"unknown protocol {protocol!r}")
-    return QfiReport(fisher_information=f, bound=crb_sensitivity(f, trials))
+def qfi_report(ell, mean_photons, trials=1):
+    """The ``qfi`` command's table: the three informations and their Cramer-Rao bounds at ``trials`` repetitions."""
+    si, mzi, avg = qfi_si(ell, mean_photons), qfi_mzi(ell, mean_photons), qfi_mzi_phase_averaged(ell, mean_photons)
+    return {"f_si": si, "f_mzi": mzi, "f_phase_avg": avg, "bound_si": crb_sensitivity(si, trials),
+            "bound_mzi": crb_sensitivity(mzi, trials), "bound_phase_avg": crb_sensitivity(avg, trials)}

@@ -232,6 +232,16 @@ def test_qfi_row_past_the_fock_lattice(capsys):
     assert err.splitlines() == ['{"error": "Fisher information must be finite, got inf"}']
 
 
+def test_qfi_row_where_ell_squared_overflows(capsys):
+    # 16 ell^2 N read inf at ell = 2^600, and the bound refused it; ell N ell is 2^1200 1e-300
+    rc, out, err = _run(["qfi", "--ell", str(2**600), "--n", "1e-300"], capsys)
+    assert rc == 0 and err == ""
+    header, rows = _table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["f_si"]) == math.ldexp(1e-300, 1204) == pytest.approx(2.755e62, rel=1e-3)
+    assert float(row["bound_si"]) == 1.0 / math.sqrt(float(row["f_si"]))
+
+
 def test_qfi_bound_scales_with_repetitions(capsys):
     rc, out, err = _run(["qfi", "--ell", "1", "--n", "1", "--trials", "4"], capsys)
     header, rows = _table(out)
@@ -524,7 +534,8 @@ def test_infinite_angle_range_is_a_json_error(capsys):
 def test_angles_the_floats_cannot_resolve_are_a_json_error(capsys, argv):
     rc, out, err = _run([*argv, "--ell", "1", "--n", "2", "--points", "3"], capsys)
     assert rc == 2 and out == "" and len(err.splitlines()) == 1
-    assert "too large to resolve the fringe period 1.5708 rad" in json.loads(err)["error"]
+    assert "phi of order" in json.loads(err)["error"]
+    assert "rad is too large to resolve the fringe period 1.5708 rad" in json.loads(err)["error"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -532,7 +543,7 @@ def test_an_offset_the_floats_cannot_resolve_is_a_json_error(tmp_path, capsys):
     # the detector's click law would see sin(inf) = nan
     rc, out, err = _run(["experiment", "--offset", "1e308", "--output-dir", str(tmp_path / "run")], capsys)
     assert rc == 2 and out == "" and len(err.splitlines()) == 1
-    assert "angles of order 1e+308 rad" in json.loads(err)["error"]
+    assert "phi of order 1e+308 rad is too large" in json.loads(err)["error"]
     assert not (tmp_path / "run").exists()
 
 

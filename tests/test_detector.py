@@ -347,12 +347,14 @@ def test_credibility_limits():
 
 
 def test_credibility_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empirical must sum to 1, got a sum of 0.9$"):
         credibility([0.5, 0.4], [0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empirical must be nonnegative$"):
         credibility([-0.1, 1.1], [0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empirical must be a non-empty 1-D array$"):
         credibility([], [1.0])
+    with pytest.raises(ValueError, match="^theoretical must be a non-empty 1-D array$"):
+        credibility([1.0], [[1.0]])
     # NaN fails the normalization test silently, since every comparison with it is False
     with pytest.raises(ValueError, match="finite"):
         credibility([math.nan, 1.0], [0.5, 0.5])

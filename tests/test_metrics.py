@@ -470,9 +470,9 @@ def test_parity_curve_validation():
         ParityCurve(phi_grid=np.array([0.0, 0.0, 1.0]), values=np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError, match="matching 1-D arrays"):
         ParityCurve(phi_grid=np.array([0.0, 0.5, 1.0]), values=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^values must be in \[0, 1\]$"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^values must be in \[0, 1\]$"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, -0.1]))
     with pytest.raises(ValueError, match="zero everywhere"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))

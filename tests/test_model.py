@@ -273,15 +273,17 @@ def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
     edge = 2**48 / ell
     assert 0.0 <= parity_expectation(spec, math.nextafter(edge, 0), ImperfectionProfile()) <= 1.0
     for phi in (edge, -edge, np.array([0.0, edge])):
-        with pytest.raises(ValueError, match="too large to resolve the fringe period"):
+        with pytest.raises(ValueError, match="^phi of order .* rad is too large to resolve the fringe period"):
             parity_expectation(spec, phi, ImperfectionProfile())
     with pytest.raises(ValueError, match="phi must be finite"):
         sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), math.nan)
     for phi in (10**400, [0.0, -(10**400)]):  # ints past the float range
         with pytest.raises(ValueError, match="^phi must be finite, got -?10{400}$"):
             sensitivity(ImperfectionProfile(dark_rate=0.01).fringe(spec), phi)
-    with pytest.raises(ValueError, match="angles of order 1e\\+300 rad"):
+    with pytest.raises(ValueError, match="^offset of order 1e\\+300 rad is too large"):
         FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(0.0)
+    with pytest.raises(ValueError, match="^phi of order 1e\\+301 rad is too large"):  # both: phi is named first
+        FringeModel(amplitude=0.9, decay=4.0, offset=1e300, ell=ell)(1e301)
 
 
 def test_the_angle_rule_refuses_an_angle_that_is_not_real():

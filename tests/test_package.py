@@ -29,8 +29,6 @@ PUBLIC_NAMES = {
     "visibility",
     "fwhm",
     "fringe_figures",
-    "QfiProtocol",
-    "QfiReport",
     "qfi_si",
     "qfi_mzi",
     "qfi_mzi_phase_averaged",
@@ -57,7 +55,7 @@ def test_package_namespace_is_the_modules_all_lists():
     names = sagnac_parity.__all__
     modules = (model, fock, metrics, qfi, detector, fit)
     assert names == ["__version__", *(n for m in modules for n in m.__all__), "ExperimentConfig", "run_experiment"]
-    assert len(names) == len(set(names)) == 44
+    assert len(names) == len(set(names)) == 42
     assert set(names) == PUBLIC_NAMES
     for module in modules:
         for name in module.__all__:

@@ -11,13 +11,17 @@ raises OverflowError or TypeError, and it never warns.
 Each array input is fed lists, tuples and ndarrays of those numbers, with one
 entry that is nan, infinite, past the float range, a bool, a string, None,
 complex or a ragged nest.  It computes exactly what the float64 array
-``np.asarray(value, dtype=float)`` computes, or it is refused as "<name> must be
-real" or "<name> must be finite"; it too never raises OverflowError or TypeError
-and never warns.
+``np.asarray(value, dtype=float)`` computes, where a refusal of the values, such
+as "values must be in [0, 1]", names the input first; or it is refused as
+"<name> must be real" or "<name> must be finite".  It too never raises
+OverflowError or TypeError and never warns.
 
 The fringe is even about its offset, an OAM charge 2^k is the charge-1 fringe
 on angles divided by 2^k, and the three Fisher informations are in ratio 4:2:1,
-each bit for bit.
+each bit for bit.  The fit of noiseless data at charge 2^k is the charge-1 fit
+with the angles divided by 2^k, bit for bit too.  The fringe repeats after one
+period to the rounding of its phase, and the fit of data shifted by one period
+returns the same parameters.
 """
 import dataclasses
 import math
@@ -177,22 +181,25 @@ def test_cramer_rao_bound(name, value):
         assert repr(result) == repr(crb_sensitivity(**{**args, name: _python(value)}))
 
 
-def _noiseless_fringe(ell):
+def _noiseless_fringe(ell, amplitude=0.9, decay=4.0, where=0.3):
+    # 13 noiseless rows over one period about the truth's offset, where * period
     period = math.pi / (2 * ell)
-    truth = FringeModel(0.9, 4.0, 0.3 * period, ell)
+    truth = FringeModel(amplitude, decay, where * period, ell)
     phi = truth.offset + np.linspace(-period / 2.0, period / 2.0, 13, endpoint=False)
     return np.column_stack([phi, truth(phi)])
 
 
 @given(st.sampled_from(["ell", "max_iter"]),
-       # the fit's offset column grows with ell, and its square overflows past ell of about 2**500
-       _numbers().filter(lambda v: not (type(v) is int and 2**64 < v < 2**1022)))
+       # the truth's 2 ell decay, decay 4, is past the float range from ell = 2**1021 on: no noiseless fringe
+       # of such a charge can be built, and the fit of another charge's data would test nothing
+       _numbers().filter(lambda v: not (type(v) is int and 2**1020 < v < 2**1022)))
 @example("ell", np.uint8(100))
 @example("ell", 10**400)
+@example("ell", 2**1020)
 @example("max_iter", np.int8(3))
 def test_fit(name, value):
     # noiseless data of the charge the fit is given, where that is an integer it could accept
-    ell = int(value) if name == "ell" and isinstance(value, (int, np.integer)) and 1 <= value <= 2**64 else 3
+    ell = int(value) if name == "ell" and isinstance(value, (int, np.integer)) and 1 <= value <= 2**1020 else 3
     args = {"data": _noiseless_fringe(ell), "ell": ell, "max_iter": 500}
 
     def fit(**given):
@@ -324,6 +331,8 @@ def test_array_input(key, data):
     outcome = _array_outcome(call, value)
     if verdict == "real":
         assert outcome == _array_outcome(call, np.asarray(value, dtype=float))
+        if str(outcome).startswith("ValueError: "):  # a refusal of the values themselves
+            assert outcome.startswith(f"ValueError: {name} "), outcome
     elif verdict == "not real":
         assert outcome == f"ValueError: {name} must be real, got {type(value).__name__}"
     else:
@@ -374,6 +383,48 @@ def test_a_charge_of_2_to_the_k_is_the_charge_1_fringe_on_angles_divided_by_2_to
         assert scaled_best == pytest.approx(best / 2**k, rel=1e-12)
     else:
         assert repr(scaled_best) == repr(best / 2**k)
+
+
+@settings(max_examples=50)
+@given(_fringes(), st.lists(_ANGLES, min_size=1, max_size=8))
+def test_a_fringe_repeats_after_one_period_to_the_rounding_of_its_phase(model, phi):
+    # the phase 2 ell (phi - offset) is rounded to a few eps of 2 ell (|phi| + period + |offset|), and the fringe
+    # moves by at most a * decay per radian of it; the exponential and the floor add a few eps of their own
+    phi, period = np.array(phi), math.pi / (2 * model.ell)
+    rounding = 4.0 * np.finfo(float).eps * 2 * model.ell * (np.abs(phi) + period + abs(model.offset))
+    gap = np.abs(model(phi + period) - model(phi))
+    assert np.all(gap <= model.amplitude * model.decay * rounding + 4.0 * np.finfo(float).eps), gap
+
+
+# amplitude, decay and where in the period the offset lies
+_TRUTHS = st.tuples(st.floats(0.05, 1.0), st.floats(0.1, 100.0), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 1000), _TRUTHS)
+def test_a_fit_at_charge_2_to_the_k_is_the_charge_1_fit_on_angles_divided_by_2_to_the_k(k, truth):
+    # the fit's offset column grows as 2^k: unscaled, its square in J^T J passes the float range from k of about 500
+    data, scaled = _noiseless_fringe(1, *truth), _noiseless_fringe(2**k, *truth)
+    assert (scaled * [2.0**k, 1.0]).tobytes() == data.tobytes()
+    fit, fit_k = fit_fringe(data, 1), fit_fringe(scaled, 2**k)
+    assert fit_k.model == dataclasses.replace(fit.model, offset=fit.model.offset / 2**k, ell=2**k)
+    assert fit_k.residual_rms == fit.residual_rms
+    assert fit_k.param_stderr == {**fit.param_stderr, "offset": fit.param_stderr["offset"] / 2**k}
+    # the width is an angle, and the factor is pi over it
+    derived = {**fit.derived, "fwhm": fit.derived["fwhm"] / 2**k,
+               "super_resolution_factor": fit.derived["super_resolution_factor"] * 2**k}
+    assert repr(fit_k.derived) == repr(derived)
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 2**20), _TRUTHS)
+def test_a_fit_of_data_shifted_by_one_period_returns_the_same_parameters(ell, truth):
+    data, period = _noiseless_fringe(ell, *truth), math.pi / (2 * ell)
+    fit, shifted = (fit_fringe(rows, ell).model for rows in (data, data + [period, 0.0]))
+    # the largest gap measured is 8e-15 relative; the reported offset is reduced to one period
+    assert shifted.amplitude == pytest.approx(fit.amplitude, rel=1e-10)
+    assert shifted.decay == pytest.approx(fit.decay, rel=1e-10)
+    assert abs(math.remainder(shifted.offset - fit.offset, period)) <= 1e-10 * period
 
 
 @given(st.one_of(st.integers(1, 2**1022 - 1), st.sampled_from([2**510, int(2**510 * 1.2), 2**600, 2**1021])),

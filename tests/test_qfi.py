@@ -5,8 +5,6 @@ import pytest
 from scipy import stats
 
 from sagnac_parity import (
-    QfiProtocol,
-    QfiReport,
     crb_sensitivity,
     qfi_mzi,
     qfi_mzi_phase_averaged,
@@ -34,8 +32,20 @@ def test_closed_form_fisher_information(ell, n, expected_si, expected_mzi):
 def test_no_photons_carry_no_information_at_any_charge(ell):
     # 16 ell^2 overflows from ell of about 2^510, and inf * 0 was nan
     assert qfi_si(ell, 0.0) == qfi_mzi(ell, 0.0) == qfi_mzi_phase_averaged(ell, 0.0) == 0.0
-    for protocol in QfiProtocol:
-        assert qfi_report(protocol, ell, 0.0) == QfiReport(fisher_information=0.0, bound=math.inf)
+    table = qfi_report(ell, 0.0)
+    assert table == {"f_si": 0.0, "f_mzi": 0.0, "f_phase_avg": 0.0,
+                     "bound_si": math.inf, "bound_mzi": math.inf, "bound_phase_avg": math.inf}
+
+
+def test_fisher_information_is_finite_where_only_ell_squared_overflows():
+    # ell^2 = 2^1200 overflows, and 16 ell^2 N read inf; ell N ell = 2^1200 1e-300 does not
+    ell, n = 2**600, 1e-300
+    assert qfi_si(ell, n) == math.ldexp(n, 1204) == pytest.approx(2.755e62, rel=1e-3)  # scaling by 2^k is exact
+    assert qfi_si(ell, n) == 2.0 * qfi_mzi(ell, n) == 4.0 * qfi_mzi_phase_averaged(ell, n)
+    table = qfi_report(ell, n, trials=10)
+    assert table["bound_si"] == 1.0 / math.sqrt(10 * table["f_si"])
+    # where ell^2 is finite the product is still ell * ell * N, bit for bit
+    assert qfi_si(2**510, 1.1) == 16.0 * (2.0**510 * 2.0**510 * 1.1)
 
 
 def test_phase_averaged_fisher_information_frozen_values():
@@ -131,24 +141,31 @@ def test_crb_sensitivity_stays_finite_where_trials_times_information_overflows()
     assert crb_sensitivity(1.6e308, trials=10**12) == pytest.approx(7.905694150420948e-161, rel=1e-15)
     # a numpy information gives the same bound, with no overflow warning on the way
     assert crb_sensitivity(np.float64(1.6e308), trials=10**12) == crb_sensitivity(1.6e308, trials=10**12)
-    assert qfi_report(QfiProtocol.MZI_PHASE_AVERAGED, ell=1, mean_photons=1e307, trials=10**12).bound > 0.0
+    assert qfi_report(ell=1, mean_photons=1e307, trials=10**12)["bound_phase_avg"] > 0.0
     # below the overflow the bound is the plain 1/sqrt(trials * F), bit for bit
     assert crb_sensitivity(1.6e295, trials=10**12) == 1.0 / math.sqrt(10**12 * 1.6e295)
 
 
 def test_report_builder_covers_all_protocols():
-    si = qfi_report(QfiProtocol.SI, ell=2, mean_photons=5.0, trials=100)
-    assert isinstance(si, QfiReport)
-    assert si.fisher_information == 320.0
-    assert si.bound == pytest.approx(1.0 / math.sqrt(100 * 320.0), rel=1e-15)
+    # the qfi command's value columns, in its column order
+    table = qfi_report(ell=2, mean_photons=5.0, trials=100)
+    assert list(table) == ["f_si", "f_mzi", "f_phase_avg", "bound_si", "bound_mzi", "bound_phase_avg"]
+    assert all(type(v) is float for v in table.values())
+    assert table["f_si"] == 320.0
+    assert table["bound_si"] == pytest.approx(1.0 / math.sqrt(100 * 320.0), rel=1e-15)
+    assert table["f_mzi"] == 160.0
+    assert table["bound_mzi"] == 1.0 / math.sqrt(100 * 160.0)
 
-    mzi = qfi_report(QfiProtocol.MZI, ell=2, mean_photons=5.0)
-    assert mzi.fisher_information == 160.0
+    avg = qfi_report(ell=2, mean_photons=5.0)
+    assert avg["f_phase_avg"] == pytest.approx(4.0 * 4 * 5.0, abs=1e-8)
+    assert avg["bound_phase_avg"] == pytest.approx(1.0 / math.sqrt(avg["f_phase_avg"]), rel=1e-12)
 
-    avg = qfi_report(QfiProtocol.MZI_PHASE_AVERAGED, ell=2, mean_photons=5.0)
-    assert avg.fisher_information == pytest.approx(4.0 * 4 * 5.0, abs=1e-8)
-    assert avg.bound == pytest.approx(1.0 / math.sqrt(avg.fisher_information), rel=1e-12)
 
-    # a protocol's string value is not a QfiProtocol
-    with pytest.raises(TypeError, match="unknown protocol 'si'"):
-        qfi_report("si", ell=2, mean_photons=5.0)
+def test_report_refuses_as_its_first_column_would():
+    # the three informations, the loop's first, are taken before the bounds: each refusal is the qfi command's
+    with pytest.raises(ValueError, match="^ell must be"):
+        qfi_report(0, 1.0)
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1, got 0$"):
+        qfi_report(1, 1.0, trials=0)
+    with pytest.raises(ValueError, match="^Fisher information must be finite, got inf$"):
+        qfi_report(1, 1e308)

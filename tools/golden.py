@@ -104,6 +104,7 @@ def _tables_calls():
         _call("qfi-json", "qfi", "--ell", "4", "--n", "30", "--format", "json"),
         _call("qfi-huge-trials", "qfi", "--ell", "1", "--n", "2", "--trials", "1000000000000"),
         _call("qfi-ell-huge-n-0", "qfi", "--ell", 2**600, "--n", "0"),
+        _call("qfi-ell-huge-n-tiny", "qfi", "--ell", 2**600, "--n", "1e-300"),  # ell^2 overflows, ell N ell does not
     ]
     for ell in (1, 2, 3, 4):
         calls.append(_call(f"metrics-all-l{ell}", "metrics", "--ell", ell, "--n", "2.297", *_EVERY_FLAG))
@@ -216,6 +217,8 @@ def _experiment_calls():
         _call("experiment-small", "experiment", *_SMALL_RUN, "--prefix", "small"),
         _call("experiment-ell-1e6", "experiment", "--ell", "1000000", "--points", "24", "--trials", "20000",
               "--offset", "0"),
+        _call("experiment-ell-2to520", "experiment", "--ell", 2**520, "--offset", "0", "--points", "13", "--trials",
+              "2000", "--units", "64"),
         _call("experiment-seed-env", "experiment", *_SMALL_RUN, env={"SAGNAC_PARITY_SEED": "11"}),
         _call("experiment-config", "experiment", "--config", "cfg.json",
               files={"cfg.json": json.dumps({"points": 16, "trials": 2000, "units": 256, "dark_rate": 0.1,
