@@ -18,7 +18,6 @@ from scipy import stats
 from sagnac_parity import (
     DetectorModel,
     InterferometerSpec,
-    credibility,
     parity_expectation_dark,
     parity_expectation_ideal,
     scan,
@@ -41,7 +40,9 @@ for phi, mean, stderr in rows:
 # photon-number histogram at the dark-port maximum vs Poisson(N)
 run = simulate(spec, math.pi / 4.0, DetectorModel(units=64, seed=2), trials=100_000)
 ks = np.arange(max(run.empirical_dist.size, 40))
-overlap = credibility(run.empirical_dist, stats.poisson.pmf(ks, spec.mean_photons))
+poisson = stats.poisson.pmf(ks, spec.mean_photons)
+# the Bhattacharyya overlap H = sum_k sqrt(p_k q_k), the histogram zero-padded to the Poisson support
+overlap = float(np.sqrt(np.pad(run.empirical_dist, (0, ks.size - run.empirical_dist.size)) * poisson).sum())
 print()
 print(f"count histogram vs Poisson({spec.mean_photons}): credibility H = {overlap:.4f}")
 print(f"  counts 0..6 simulated: "

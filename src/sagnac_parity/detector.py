@@ -45,7 +45,7 @@ import numpy as np
 
 from .model import ImperfectionProfile, _check_integer, _check_reals, _shape
 
-__all__ = ["DetectorModel", "DetectorRun", "simulate", "scan", "credibility"]
+__all__ = ["DetectorModel", "DetectorRun", "simulate", "scan"]
 
 # Generator.random returns a lattice point m / 2**53, m < 2**53, as does the uniform numpy's Binomial draw reads
 _LATTICE = 2**53
@@ -255,26 +255,3 @@ def scan(spec, model, phi_grid, trials_per_point):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=min(phi_grid.size, cpus)) as pool:
         return list(pool.map(point, enumerate(phi_grid.tolist())))
-
-
-def credibility(empirical, theoretical):
-    """Bhattacharyya overlap H = sum_i sqrt(x_i y_i) of two count histograms.
-
-    Both inputs must be normalized probability vectors indexed by count
-    value; the shorter one is zero-padded to the shared support.  Identical
-    histograms give 1.0, disjoint ones 0.0.
-    """
-    x, y = _check_reals("empirical", empirical), _check_reals("theoretical", theoretical)
-    for name, h in (("empirical", x), ("theoretical", y)):
-        if h.ndim != 1 or h.size == 0:
-            raise ValueError(f"{name} must be a non-empty 1-D array")
-        if np.any(h < 0):
-            raise ValueError(f"{name} must be nonnegative")
-        if abs(h.sum() - 1.0) > 1e-6:
-            raise ValueError(f"{name} must sum to 1, got a sum of {h.sum():g}")
-    n = max(x.size, y.size)
-    xp = np.zeros(n)
-    yp = np.zeros(n)
-    xp[: x.size] = x
-    yp[: y.size] = y
-    return float(np.sqrt(xp * yp).sum())

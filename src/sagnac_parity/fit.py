@@ -111,10 +111,12 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     most 1: when the free fit lands above, the fit is redone with the peak
     pinned at parity 1 (floor = 1 - amplitude).  Fringes too shallow to
     reach their half level (decay < ln 2) fit normally but report nan for
-    the derived width and resolution factor.  Data whose numbers overflow
-    the fit's arithmetic raise ValueError, as do rows with
-    (|value| + 2)/sigma of sqrt(largest float / rows) or more: the model
-    lies in [0, 2], so below that the cost cannot overflow.
+    the derived width and resolution factor, and a parameter the data do
+    not constrain (a zero Jacobian column, the offset's at decay 0) has
+    stderr inf.  ValueError refuses rows with (|value| + 2)/sigma of
+    sqrt(largest float / rows) or more, as "data overflow ...": the model
+    lies in [0, 2], so below that the cost cannot overflow; and an ell
+    whose Jacobian overflows, as "ell of ...".
     """
     ell = _check_ell(ell)
     max_iter = _check_integer("max_iter", max_iter)
@@ -131,8 +133,8 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
             if floor == "free" and res.status != 0 and res.x[0] + res.x[3] > 1.0 + 1e-12:
                 floor = "peak"
                 res = _solve(*arr.T, ell, floor, max_iter)
-    except FloatingPointError:
-        raise ValueError("the data overflow the fit's arithmetic") from None
+    except FloatingPointError:  # an entry of the offset's column 2 ell b sin(4 ell delta) a core / sigma
+        raise ValueError(f"ell of {ell:g} overflows the fit's Jacobian at these data's sigmas") from None
     if res.status == 0:
         try:
             best = _package(res, ell, floor)
@@ -151,7 +153,7 @@ def _solve(phi, y, sig, ell, floor, max_iter):
     if y.max() - y.min() < 1e-12:
         raise ValueError("data has no fringe contrast to fit")
     if np.any((np.abs(y) + 2.0) / sig >= math.sqrt(np.finfo(float).max / y.size)):
-        raise ValueError("the data overflow the fit's arithmetic")
+        raise ValueError("data overflow the fit's arithmetic")
 
     a0, b0, phi0 = _initial_guess(phi, y, ell, period)
     x0 = [a0, b0, phi0]
@@ -245,6 +247,7 @@ def _package(res, ell, floor):
     A, d = _unit_diagonal(Js.T @ Js)
     # each root is taken before the scale comes back: the squared scale may underflow
     errors = np.sqrt(np.maximum(np.diag(np.linalg.pinv(A)) / (d * d), 0.0)) * scale
+    errors[~res.jac.any(axis=0)] = math.inf  # pinv reads 0 for a direction the data do not constrain
     names = ["amplitude", "decay", "offset"] + (["floor"] if floor == "free" else [])
     stderr = {k: float(v) for k, v in zip(names, errors)}
     if floor == "peak":

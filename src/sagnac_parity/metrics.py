@@ -66,7 +66,7 @@ class ParityCurve:
         if np.any(val < 0.0) or np.any(val > 1.0 + 1e-12):
             raise ValueError("values must be in [0, 1]")
         if not np.any(val > 0.0):
-            raise ValueError("parity curve is zero everywhere; there is no fringe")
+            raise ValueError("values are zero everywhere; there is no fringe")
         vars(self).update(phi_grid=phi, values=val)
 
 
@@ -208,7 +208,7 @@ def fringe_figures(model):
     a, b, c = model.amplitude, model.decay, model.floor
     if a == 0.0:
         if c == 0.0:
-            raise ValueError("parity curve is zero everywhere; there is no fringe")
+            raise ValueError("amplitude and floor are zero everywhere; there is no fringe")
         return 0.0, math.nan, math.nan
     vis = -math.expm1(-b) / (1.0 + math.exp(-b) + 2.0 * (c / a))
     width = math.asin(math.sqrt(math.log(2.0) / b)) / model.ell if b >= math.log(2.0) else math.nan

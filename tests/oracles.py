@@ -59,6 +59,19 @@ def scipy_least_squares(fun, x0, jac, bounds, max_nfev):
     )
 
 
+def credibility(empirical, theoretical):
+    """Bhattacharyya overlap H = sum_i sqrt(x_i y_i) of two count histograms.
+
+    Both are normalized 1-D probability vectors indexed by count value; the
+    shorter one is zero-padded to the shared support.  Identical histograms
+    give 1.0, disjoint ones 0.0.
+    """
+    x, y = np.asarray(empirical, dtype=float), np.asarray(theoretical, dtype=float)
+    assert all(h.ndim == 1 and abs(h.sum() - 1.0) <= 1e-6 for h in (x, y)), "need two normalized 1-D histograms"
+    n = max(x.size, y.size)
+    return float(np.sqrt(np.pad(x, (0, n - x.size)) * np.pad(y, (0, n - y.size))).sum())
+
+
 def poisson_cutoff(mean, tail):
     """Least n_max whose cut Poisson tail P(n >= n_max) is at most ``tail``, by scipy."""
     from scipy.stats import poisson

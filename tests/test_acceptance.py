@@ -18,7 +18,6 @@ from sagnac_parity import (
     ImperfectionProfile,
     InterferometerSpec,
     attenuated_joint_distribution,
-    credibility,
     fit_fringe,
     joint_distribution,
     min_sensitivity,
@@ -36,7 +35,7 @@ from sagnac_parity import (
     simulate,
 )
 
-from oracles import count_fringe_peaks, phase_averaged_qfi_sum, poisson_cutoff
+from oracles import count_fringe_peaks, credibility, phase_averaged_qfi_sum, poisson_cutoff
 
 PHOTON_GRID = (1.0, 5.0, 10.0, 20.0)
 CHARGE_GRID = (1, 2, 3, 4, 5)

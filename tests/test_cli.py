@@ -200,7 +200,7 @@ def test_fringe_that_is_zero_everywhere_is_a_json_error(capsys):
     rc, out, err = _run(["metrics", "--ell", "1", "--n", "2", "--dark-rate", "400"], capsys)
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1
-    assert "zero everywhere" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == "amplitude and floor are zero everywhere; there is no fringe"
 
 
 def test_qfi_row(capsys):

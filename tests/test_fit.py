@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sagnac_parity import (
     sensitivity_from_fit,
 )
 from sagnac_parity import experiment, fit
+from sagnac_parity.fit import least_squares
 
 REFERENCE = FringeModel(amplitude=0.9507, decay=4.594, offset=0.7022, ell=1)
 
@@ -309,10 +311,10 @@ def test_rejects_data_that_overflow_the_fit():
     # a value of 1.3e154 squares past the float range in the solver's cost,
     # which then ran on through inf and nan to a fit with inf residual_rms
     data = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.34078079e154]])
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match="^data overflow the fit's arithmetic$"):
         fit_fringe(data, ell=1)
     phi = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match="^data overflow the fit's arithmetic$"):
         fit_fringe(np.column_stack([phi, np.linspace(0.0, 1.0, 8), np.full(8, 1e-300)]), ell=1)
 
 
@@ -347,8 +349,24 @@ def test_a_fringe_whose_jacobian_overflows_is_refused():
     result = fit_fringe(_sharp_fringe(10**155), ell=10**155)
     assert (result.model.amplitude, result.model.decay) == pytest.approx((0.9, 4.0), rel=1e-9)
     assert result.param_stderr["offset"] > 0.0
-    with pytest.raises(ValueError, match="the data overflow the fit's arithmetic"):
+    # there the rows are an ordinary fringe with sigma 1e-3: the overflow is ell's, in the offset's column
+    message = r"^ell of 7\.02224e\+305 overflows the fit's Jacobian at these data's sigmas$"
+    with pytest.raises(ValueError, match=message):
         fit_fringe(_sharp_fringe(2**1016), ell=2**1016)
+
+
+def test_a_parameter_the_data_do_not_constrain_has_stderr_inf(tmp_path):
+    # a flat fit (decay 0) has a zero offset column, where pinv read a stderr of 0: an offset known exactly
+    phi = np.linspace(0.0, math.pi / 2, 12, endpoint=False)
+    result = fit_fringe(np.column_stack([phi, 0.97 + 0.02 * (-1.0) ** np.arange(12)]), ell=1)
+    assert result.model.decay == 0.0
+    assert result.param_stderr["offset"] == math.inf
+    assert math.isfinite(result.param_stderr["amplitude"]) and math.isfinite(result.param_stderr["decay"])
+    # a run with no light on the port fits decay 0 too, and its document reads null
+    doc = run_experiment(ExperimentConfig(mean_photons=1e-300, points=12, trials_per_point=100, units=64,
+                                          output_dir=str(tmp_path)))
+    assert doc["parameters"]["decay"] == 0.0
+    assert doc["param_stderr"]["offset"] is None
 
 
 def test_experiment_n_bar_does_not_depend_on_ell(tmp_path):
@@ -506,14 +524,25 @@ def _fringe_samples(draw):
 )
 def test_fit_fringe_fails_only_the_documented_way(sample, ell, fit_floor, max_iter):
     data, true_ell = sample
+    solved = []  # the solver's results, the last of them the one the fit reports
+
+    def solve(*args, **kwargs):
+        solved.append(least_squares(*args, **kwargs))
+        return solved[-1]
+
     try:
-        result = fit_fringe(data, true_ell if ell is None else ell, fit_floor=fit_floor, max_iter=max_iter)
+        with mock.patch.object(fit, "least_squares", solve):
+            result = fit_fringe(data, true_ell if ell is None else ell, fit_floor=fit_floor, max_iter=max_iter)
     except (ValueError, FitConvergenceError):
         return
     model = result.model
     assert all(math.isfinite(v) for v in (model.amplitude, model.decay, model.offset, model.floor))
     assert math.isfinite(result.residual_rms)
-    assert all(math.isfinite(v) for v in result.param_stderr.values())
+    # a stderr is finite, and inf exactly where the data do not constrain its parameter: a zero Jacobian column
+    unconstrained = dict(zip(["amplitude", "decay", "offset", "floor"], (~solved[-1].jac.any(axis=0)).tolist()))
+    unconstrained.setdefault("floor", unconstrained["amplitude"])  # a pinned floor is 1 - amplitude
+    for name, stderr in result.param_stderr.items():
+        assert stderr == math.inf if unconstrained[name] else math.isfinite(stderr), (name, stderr)
     derived = result.derived
     assert all(math.isfinite(derived[k]) for k in ("n_bar", "r", "visibility"))
     # nan width and factor are documented for fringes that never reach their half level

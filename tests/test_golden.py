@@ -12,8 +12,9 @@ _spec = importlib.util.spec_from_file_location("golden", _SCRIPT)
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
-# a table, an off-peak minimum, a refusal, a size cap and an experiment's artifacts
-SUBSET = ("curve-all-l1-json", "metrics-dark", "error-curve-points-1", "cap-sweep", "experiment-small")
+# a table, an off-peak minimum, a refusal, a size cap, an experiment's artifacts and a demo
+SUBSET = ("curve-all-l1-json", "metrics-dark", "error-curve-points-1", "cap-sweep", "experiment-small",
+          "demo-fisher_bounds")
 
 
 def test_the_working_tree_against_itself_has_no_differences(tmp_path):
@@ -23,9 +24,10 @@ def test_the_working_tree_against_itself_has_no_differences(tmp_path):
     first = golden.run_tree(src, calls, tmp_path / "first")
     again = golden.run_tree(src, calls, tmp_path / "again")
     assert golden.differences(first, again) == []
-    assert [first[name]["exit"] for name in SUBSET] == [0, 0, 2, 2, 0]
+    assert [first[name]["exit"] for name in SUBSET] == [0, 0, 2, 2, 0, 0]
     assert "sweep points must be at most" in json.loads(first["cap-sweep"]["stderr"])["error"]
     assert set(first["experiment-small"]["files"]) == {"small_scan.csv", "small_sensitivity.csv", "small_fit.json"}
+    assert first["demo-fisher_bounds"]["stdout"] and not first["demo-fisher_bounds"]["stderr"]
 
     # a moved cell is named by its column or key, and only an allow naming it forgives it
     header, row = first["metrics-dark"]["stdout"].splitlines()

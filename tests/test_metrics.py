@@ -340,6 +340,8 @@ def test_fringe_figures_of_a_flat_fringe_with_a_floor():
     flat = FringeModel(amplitude=0.0, decay=2.0, offset=0.0, ell=1, floor=0.3)
     visibility, width, factor = fringe_figures(flat)
     assert visibility == 0.0 and math.isnan(width) and math.isnan(factor)
+    with pytest.raises(ValueError, match="^amplitude and floor are zero everywhere; there is no fringe$"):
+        fringe_figures(FringeModel(amplitude=0.0, decay=2.0, offset=0.0, ell=1))
 
 
 def test_fringe_figures_of_a_deep_fringe_match_mpmath():
@@ -474,7 +476,7 @@ def test_parity_curve_validation():
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match=r"^values must be in \[0, 1\]$"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.5, -0.1]))
-    with pytest.raises(ValueError, match="zero everywhere"):
+    with pytest.raises(ValueError, match="^values are zero everywhere; there is no fringe$"):
         ParityCurve(phi_grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))
     for grid, values in (([0.0, 1.0, 2.0], [math.nan, 0.5, 1.0]), ([0.0, math.nan, 2.0], [0.2, 0.5, 1.0]),
                          ([0.0, 1.0, math.inf], [0.2, 0.5, 1.0])):

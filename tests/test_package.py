@@ -38,7 +38,6 @@ PUBLIC_NAMES = {
     "DetectorRun",
     "simulate",
     "scan",
-    "credibility",
     "FitResult",
     "FitConvergenceError",
     "fit_fringe",
@@ -55,7 +54,7 @@ def test_package_namespace_is_the_modules_all_lists():
     names = sagnac_parity.__all__
     modules = (model, fock, metrics, qfi, detector, fit)
     assert names == ["__version__", *(n for m in modules for n in m.__all__), "ExperimentConfig", "run_experiment"]
-    assert len(names) == len(set(names)) == 42
+    assert len(names) == len(set(names)) == 41
     assert set(names) == PUBLIC_NAMES
     for module in modules:
         for name in module.__all__:

@@ -39,7 +39,6 @@ from sagnac_parity import (
     ImperfectionProfile,
     InterferometerSpec,
     ParityCurve,
-    credibility,
     crb_sensitivity,
     error_bars,
     fit_fringe,
@@ -255,8 +254,6 @@ _ARRAY_INPUTS = {
     "ParityCurve.phi_grid": ("phi_grid", lambda v: ParityCurve(v, [1.0, 0.5, 0.25]), [0.0, 1.0, 2.0]),
     "ParityCurve.values": ("values", lambda v: ParityCurve([0.0, 1.0, 2.0], v), [1.0, 0.5, 0.25]),
     "fit_fringe": ("data", lambda v: fit_fringe(v, 1), _DATA.tolist()),
-    "credibility.empirical": ("empirical", lambda v: credibility(v, [0.5, 0.5]), [0.25, 0.75]),
-    "credibility.theoretical": ("theoretical", lambda v: credibility([0.25, 0.75], v), [0.5, 0.5]),
 }
 _FLOAT_WIDTHS = (float, *_NUMPY_FLOATS, np.longdouble)
 _NOT_FINITE = (math.nan, math.inf, -math.inf, 10**400, -(10**400), np.float32(math.inf), np.longdouble("1e4000"))

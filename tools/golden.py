@@ -1,12 +1,13 @@
-"""Golden diff: run a fixed list of CLI calls under two source trees and compare.
+"""Golden diff: run a fixed list of CLI calls and demos under two source trees and compare.
 
     python tools/golden.py --parent REV [--allow CALL[:FIELD][~REL] ...]
 
 Run from anywhere inside the repository.  The parent tree is ``git archive
 REV`` unpacked into a temporary directory; the change is the working tree
 that holds this script, uncommitted edits included.  Each call runs as
-``python -m sagnac_parity ...`` with ``PYTHONPATH`` at the tree's ``src``,
-in a fresh directory of its own, and every output path is relative to it.
+``python -m sagnac_parity ...``, or a demo as ``python <tree>/demos/NAME.py``,
+with ``PYTHONPATH`` at the tree's ``src``, in a fresh directory of its own,
+and every output path is relative to it.
 
 Compared per call: the exit code, stdout, stderr, and the bytes of every
 file the call wrote.  The tree's and the call directory's paths are
@@ -53,9 +54,9 @@ _VARIANTS = ["ideal", "prep", "loss", "efficiency", "dark", "composed"]
 _SMALL_RUN = ["--points", "12", "--trials", "400", "--units", "64"]
 
 
-def _call(call_id, *argv, env=None, files=None):
-    # one CLI call: its id, its argv, extra environment, files placed in its directory first
-    return {"id": call_id, "argv": [str(a) for a in argv], "env": env or {}, "files": files or {}}
+def _call(call_id, *argv, env=None, files=None, script=None):
+    # one call: its id, its CLI argv or else a script in the tree, extra environment, files put in its directory
+    return {"id": call_id, "argv": [str(a) for a in argv], "env": env or {}, "files": files or {}, "script": script}
 
 
 def _tables_calls():
@@ -219,6 +220,9 @@ def _experiment_calls():
               "--offset", "0"),
         _call("experiment-ell-2to520", "experiment", "--ell", 2**520, "--offset", "0", "--points", "13", "--trials",
               "2000", "--units", "64"),
+        # no light on the port: the fit lands at decay 0, where the data do not constrain the offset
+        _call("experiment-no-light", "experiment", "--n", "1e-300", "--points", "12", "--trials", "100", "--units",
+              "64"),
         _call("experiment-seed-env", "experiment", *_SMALL_RUN, env={"SAGNAC_PARITY_SEED": "11"}),
         _call("experiment-config", "experiment", "--config", "cfg.json",
               files={"cfg.json": json.dumps({"points": 16, "trials": 2000, "units": 256, "dark_rate": 0.1,
@@ -256,11 +260,16 @@ def _apparatus_calls():
     return calls
 
 
-CALLS = _tables_calls() + _help_calls() + _error_calls() + _cap_calls() + _experiment_calls() + _apparatus_calls()
+def _demo_calls():
+    return [_call(f"demo-{path.stem}", script=f"demos/{path.name}") for path in sorted((ROOT / "demos").glob("*.py"))]
+
+
+CALLS = (_tables_calls() + _help_calls() + _error_calls() + _cap_calls() + _experiment_calls() + _apparatus_calls()
+         + _demo_calls())
 
 
 def run_call(src, call, workdir):
-    """Run one call under the package at `src` in the fresh directory `workdir`.
+    """Run one CLI call or demo under the package at `src` in the fresh directory `workdir`.
 
     Returns {"exit", "stdout", "stderr", "files": {relative path: bytes}},
     with the tree's and workdir's paths in stdout and stderr replaced.
@@ -270,8 +279,9 @@ def run_call(src, call, workdir):
         (workdir / name).write_text(text, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SAGNAC_PARITY_SEED")}
     env.update(call["env"], PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "sagnac_parity", *call["argv"]], cwd=workdir, env=env,
-                          capture_output=True, text=True, timeout=900)
+    command = [str(Path(src).parent / call["script"])] if call["script"] else ["-m", "sagnac_parity", *call["argv"]]
+    proc = subprocess.run([sys.executable, *command], cwd=workdir, env=env, capture_output=True, text=True,
+                          timeout=900)
 
     def scrub(text):
         return text.replace(str(workdir), "<cwd>").replace(str(Path(src).parent), "<tree>")
