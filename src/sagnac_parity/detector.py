@@ -26,17 +26,29 @@ The counts are numpy's `Generator.binomial(M, p, T)` bit for bit, drawn
 more cheaply.  Where numpy draws by inversion (p > 0 and M min(p, 1 - p)
 <= 30, every point of the default experiment), it reads one uniform u per
 readout and walks it down a fixed chain, so each count is a step function
-of u: the number of thresholds t_k below u.  `_inversion_thresholds` finds
-numpy's exact t_k for (M, p), the counts come from `Generator.random(T)` on
-the same stream, and a scan point sums (-1)^k #(u > t_k) to its odd count
-without building the counts.  numpy's own draw is taken, from the same
-state, at p = 0, in its BTPE regime, and wherever a uniform would run past
-numpy's bound, where numpy draws that readout again.  The tests hold the
-thresholds to the installed numpy's own draw, so a numpy release that
-changes its Binomial algorithm fails them instead of drifting from it.
+of u: the number of thresholds t_k below u.  The uniforms come from
+`Generator.random(T)` on the same stream, and `_inversion_thresholds` finds
+numpy's exact t_k for (M, p) up to the first at or above 1 - 2^-j, where
+2^-j is the largest power of two at or below 1 - max u.  `simulate` reads
+each count from a table of 4096 slices of [0, 1) (`_count_table`), and
+counts the thresholds only for the few uniforms in a slice that a threshold
+splits; a scan point sums (-1)^k #(u > t_k) to its odd count without
+building the counts.  numpy's own draw is taken, from the same state, at
+p = 0, in its BTPE regime, and wherever a uniform would run past numpy's
+bound, where numpy draws that readout again.  The tests hold the thresholds
+to the installed numpy's own draw, so a numpy release that changes its
+Binomial algorithm fails them instead of drifting from it.
+
+The thresholds and the table depend on (M, p, j) alone, so both are
+memoized: a sweep that repeats its angles computes them once per angle and
+tail level j.  The memos are bounded, at 1024 chains of at most 86
+thresholds (about 2.9 kB each, 3.0 MB in all) and 128 tables (about 34 kB
+each, 4.3 MB in all).
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -49,6 +61,8 @@ __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan"]
 
 # Generator.random returns a lattice point m / 2**53, m < 2**53, as does the uniform numpy's Binomial draw reads
 _LATTICE = 2**53
+# _draw reads a count by the slice of [0, 1) its uniform lies in; u * 2**12 is exact
+_SLICES = 4096
 
 
 @dataclass(frozen=True)
@@ -115,18 +129,21 @@ def _generator(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def _inversion_thresholds(n, p, top):
+@functools.lru_cache(maxsize=1024)
+def _inversion_thresholds(n, p, j):
     # numpy draws Binomial(n, p <= 1/2) with n p <= 30 by inversion (random_binomial_inversion in its
     # distributions.c, transcribed here operation for operation): from one uniform u it stops at the
     # first X with U_X <= px_X, where U_X = u - px_0 - ... - px_{X-1} is rounded step by step.
     # Rounding is monotone in u, so each {u : U_k <= px_k} is all u up to a lattice point a_k, and
-    # X > k exactly where u > t_k = max(a_0, ..., a_k).  Returns the t_k below top (the largest u
-    # drawn), None where top runs past numpy's bound, where numpy would draw that readout again
+    # X > k exactly where u > t_k = max(a_0, ..., a_k).  Returns the t_k up to the first at or above
+    # 1 - 2**-j, which no uniform of a draw keyed by j passes, or else up to numpy's bound, past which
+    # numpy draws that readout again
     q = 1.0 - p
     px = math.exp(n * math.log1p(-p))
     mean = n * p
     cap = mean + 10.0 * math.sqrt(mean * q + 1)
     bound = n if n < cap else int(cap)
+    stop = _LATTICE - (_LATTICE >> j)
     chain, thresholds, t, total = [], [], 0, 0.0
     for k in range(bound + 1):
         if k:
@@ -139,11 +156,11 @@ def _inversion_thresholds(n, p, top):
         while a < _LATTICE - 1 and _stops(a + 1, chain, px):
             a += 1
         t = max(t, a)
-        if t / _LATTICE >= top:
-            return thresholds
         thresholds.append(t / _LATTICE)
+        if t >= stop:
+            break
         chain.append(px)
-    return None
+    return tuple(thresholds)
 
 
 def _stops(point, chain, px):
@@ -154,46 +171,72 @@ def _stops(point, chain, px):
     return u <= px
 
 
+@functools.lru_cache(maxsize=128)
+def _count_table(n, p, j):
+    # the counts of _inversion_thresholds(n, p, j) by slice of [0, 1): slice i, the u with
+    # floor(u * _SLICES) = i, holds the number of thresholds below it, or -1 where a threshold lies
+    # in it.  The thresholds are sorted, so the count is v on the run of slices from the one after
+    # threshold v - 1's to threshold v's.  Returns the table and the thresholds, read-only, for the
+    # uniforms in a split slice
+    chain = np.array(_inversion_thresholds(n, p, j))
+    f = (chain * _SLICES).astype(np.intp)
+    runs = np.append(f, _SLICES - 1)
+    runs[1:] -= f
+    runs[0] += 1
+    table = np.repeat(np.arange(f.size + 1), runs)
+    table[f] = -1
+    table.flags.writeable = chain.flags.writeable = False
+    return table, chain
+
+
 def _inversion(rng, n, p, size):
-    # rng.binomial(n, p, size) as (u, t, mirrored): the draw is X = sum_k (u > t_k), or n - X where
-    # mirrored, with u = rng.random(size) from the same stream and the generator left as numpy leaves
-    # it.  None, with the stream untouched, where numpy draws nothing (p = 0) or draws by BTPE
+    # rng.binomial(n, p, size) as (u, t, key, mirrored): the draw is X = #(t < u), or n - X where
+    # mirrored, over the thresholds t of _inversion_thresholds(*key) below the largest u, with
+    # u = rng.random(size) from the same stream and the generator left as numpy leaves it.  None,
+    # with the stream untouched, where numpy draws nothing (p = 0), draws by BTPE, or draws a
+    # readout again
     mirrored = p > 0.5
     low = 1.0 - p if mirrored else p  # above 1/2 numpy draws n - Binomial(n, 1 - p)
     if p == 0.0 or not low * n <= 30.0:
         return None
     state = rng.bit_generator.state
     u = rng.random(size)
-    t = _inversion_thresholds(n, low, u.max())
-    if t is None:
+    top = float(u.max())
+    # 2**-j, the largest power of two at or below 1 - top (exact, as top is a lattice point), keys
+    # the tail of the chain, so one chain serves every draw whose largest uniform falls in that tail
+    key = (n, low, 1 - math.frexp(1.0 - top)[1])
+    chain = _inversion_thresholds(*key)
+    k = bisect.bisect_left(chain, top)
+    if k == len(chain):  # top lies past numpy's bound
         rng.bit_generator.state = state
         return None
-    return u, t, mirrored
+    return u, chain[:k], key, mirrored
 
 
 def _draw(rng, n, p, size):
-    # rng.binomial(n, p, size) bit for bit, leaving rng in the same state: each count from one
-    # uniform by its thresholds where numpy draws by inversion, numpy's own draw elsewhere
+    # rng.binomial(n, p, size) bit for bit, leaving rng in the same state: where numpy draws by
+    # inversion, each count is read from its uniform's slice, or counted by its thresholds in a split
+    # slice; numpy's own draw elsewhere
     law = _inversion(rng, n, p, size)
     if law is None:
         return rng.binomial(n, p, size)
-    u, t, mirrored = law
-    x = np.zeros(size, np.int8)  # X <= numpy's bound <= 85
-    for t_k in t:
-        x += u > t_k
-    counts = x.astype(np.int64)
+    u, _, key, mirrored = law
+    table, chain = _count_table(*key)
+    counts = table.take((u * _SLICES).astype(np.intp))
+    split = np.flatnonzero(counts < 0)
+    counts[split] = np.searchsorted(chain, u[split])
     return n - counts if mirrored else counts
 
 
 def _odd_draws(rng, n, p, size):
     # the number of odd counts in _draw(rng, n, p, size), without the counts:
     # #(X odd) = sum_k (-1)^k #(X > k), and #(X > k) = #(u > t_k).  One compare-and-count pass per
-    # threshold, where _draw also adds each comparison into the counts and widens them: a default
-    # experiment scan takes less than half the time of counting the odd values of _draw's output
+    # threshold below the largest uniform: at a default experiment's 1e5 readouts a point this way
+    # takes less time than reading its counts from _draw's table
     law = _inversion(rng, n, p, size)
     if law is None:
         return int(np.count_nonzero(rng.binomial(n, p, size) & 1))
-    u, t, mirrored = law
+    u, t, _, mirrored = law
     odd = sum((-1) ** k * int(np.count_nonzero(u > t_k)) for k, t_k in enumerate(t))
     return size - odd if mirrored and n % 2 else odd
 
@@ -213,13 +256,14 @@ def simulate(spec, phi, model, trials):
     """
     trials = _check_integer("trials", trials)
     counts = _draw(_generator(model.seed), model.units, _click_probability(spec, phi, model), trials)
-    mean, stderr = _parity_estimate(int(np.count_nonzero(counts & 1)), trials)
+    hist = np.bincount(counts, minlength=1)
+    mean, stderr = _parity_estimate(int(hist[1::2].sum()), trials)
     return DetectorRun(
         trials=trials,
         counts=counts,
         parity_mean=mean,
         parity_stderr=stderr,
-        empirical_dist=np.bincount(counts, minlength=1) / trials,
+        empirical_dist=hist / trials,
     )
 
 

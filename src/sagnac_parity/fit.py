@@ -230,7 +230,9 @@ def _unit_diagonal(A):
 def _package(res, ell, floor):
     a, b, p0 = res.x[:3]
     c = {"zero": 0.0, "peak": 1.0 - float(a), "free": float(res.x[-1])}[floor]
-    p0 = float(p0) % (math.pi / (2.0 * ell))
+    period = math.pi / (2.0 * ell)
+    p0 = float(p0) % period
+    p0 = 0.0 if p0 == period else p0  # a tiny negative p0 rounds up to the period itself
     model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=ell, floor=c)
 
     visibility, width, factor = fringe_figures(model)

@@ -1,5 +1,6 @@
 import math
 import os
+from bisect import bisect_left
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +14,8 @@ from scipy import stats
 from oracles import binomial_inversion, credibility, pcg64_emitting
 from sagnac_parity import DetectorModel, InterferometerSpec, scan, simulate
 from sagnac_parity.detector import (
-    _click_probability, _draw, _inversion, _inversion_thresholds, _odd_draws, _parity_estimate, _point_seed,
+    _SLICES, _click_probability, _count_table, _draw, _inversion, _inversion_thresholds, _odd_draws, _parity_estimate,
+    _point_seed,
 )
 
 
@@ -233,9 +235,12 @@ def test_scan_matches_the_sequential_loop_row_for_row():
        trials=st.integers(1, 200), seed=st.integers(0, 2**64 - 1))
 def test_scan_rows_are_the_serial_simulate_loop_at_any_pool_size(cpus, grid, units, mean_photons, dark_rate, trials,
                                                                  seed):
-    # the pool has min(points, usable CPUs) threads; units past 60 and bright light reach numpy's BTPE draw too
+    # the pool has min(points, usable CPUs) threads; units past 60 and bright light reach numpy's BTPE draw too.
+    # Empty memos make the pool's threads miss on the same keys at once
     spec = InterferometerSpec(ell=1, mean_photons=mean_photons)
     model = DetectorModel(units=units, dark_rate=dark_rate, seed=seed)
+    _inversion_thresholds.cache_clear()
+    _count_table.cache_clear()
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
         rows = scan(spec, model, grid, trials)
     runs = [simulate(spec, phi, replace(model, seed=_point_seed(seed, i)), trials) for i, phi in enumerate(grid)]
@@ -270,14 +275,18 @@ def test_draws_are_numpys_binomial_stream_bit_for_bit():
         assert ours.bit_generator.state == numpys.bit_generator.state, (n, p, size)
 
 
-@pytest.mark.parametrize("n, p", [(1, 0.3), (3, 0.5), (16, 0.25), (64, 0.46), (4096, 30 / 4096),
-                                  (10**6, 2.3e-6), (2**62, 2.0**-60)])
+_SEVEN = [(1, 0.3), (3, 0.5), (16, 0.25), (64, 0.46), (4096, 30 / 4096), (10**6, 2.3e-6), (2**62, 2.0**-60)]
+
+
+@pytest.mark.parametrize("n, p", _SEVEN)
 def test_thresholds_are_where_numpys_inversion_loop_stops(n, p):
     # t_k stops by step k and the next lattice point does not, in the scalar transcription of
     # numpy's loop and in numpy's own draw fed that uniform.  The largest uniforms may run past
-    # numpy's bound; those below 1 - 2**-40 do not here
+    # numpy's bound; those below 1 - 2**-40 do not here: the chain reaches that tail first
     top = 1.0 - 2.0**-40
-    thresholds = _inversion_thresholds(n, p, top)
+    chain = _inversion_thresholds(n, p, 40)
+    assert chain[-1] >= top
+    thresholds = chain[:bisect_left(chain, top)]
     assert binomial_inversion(n, p, top) == len(thresholds)
     for k, t_k in enumerate(thresholds):
         for u in (t_k, t_k + 2.0**-53):
@@ -287,25 +296,61 @@ def test_thresholds_are_where_numpys_inversion_loop_stops(n, p):
                 assert pcg64_emitting(round(u * 2**53) << 11).binomial(n, p) == x, (k, u)
 
 
+@pytest.mark.parametrize("n, p", _SEVEN)
+def test_each_unsplit_slice_holds_numpys_count_at_both_ends(n, p):
+    # the slices that hold a threshold are marked split; every other one reads numpy's count at its
+    # first and its last lattice point
+    table, chain = _count_table(n, p, 40)
+    assert np.array_equal(table == -1, np.isin(np.arange(_SLICES), (chain * _SLICES).astype(int)))
+    for i in np.flatnonzero(table >= 0).tolist():
+        ends = (i / _SLICES, (i + 1) / _SLICES - 2.0**-53)
+        assert [binomial_inversion(n, p, u) for u in ends] == [table[i]] * 2, i
+
+
+@pytest.mark.parametrize("n, p", _SEVEN)
+def test_uniforms_in_a_split_slice_are_counted_as_numpy_draws_them(n, p):
+    # a uniform at a threshold, where the count steps, lies in the slice the threshold splits, and so,
+    # but at a slice's edge, does the lattice point above it; random uniforms almost never land on
+    # either.  Each is the first of a three-readout draw
+    chain = _inversion_thresholds(n, p, 40)
+    for t_k in chain[:bisect_left(chain, 1.0 - 2.0**-40)]:
+        assert _count_table(n, p, 40)[0][int(t_k * _SLICES)] == -1
+        for u in (t_k, t_k + 2.0**-53):
+            ours, numpys = pcg64_emitting(round(u * 2**53) << 11), pcg64_emitting(round(u * 2**53) << 11)
+            np.testing.assert_array_equal(_draw(ours, n, p, 3), numpys.binomial(n, p, 3))
+            assert ours.bit_generator.state == numpys.bit_generator.state, (t_k, u)
+
+
 @pytest.mark.parametrize("n, p, restarts", [(2, 0.363, True), (16, 0.0325, True), (16, 0.0105, False)])
 def test_the_largest_uniform_at_numpys_bound(n, p, restarts):
-    # numpy's bound is n at n = 2 and its cap 10 at n = 16.  In the first two cases the px up to
-    # the bound sum to less than the largest uniform, whose loop runs past the bound, so numpy
-    # draws that readout again from the next 64-bit word; in the third it stops at the cap
+    # numpy's bound is n at n = 2 and its cap at n = 16, 12 and then 10.  In the first two cases the
+    # px up to the bound sum to less than the largest uniform, whose loop runs past the bound, so
+    # numpy draws that readout again from the next 64-bit word; in the third it stops at the cap
     assert pcg64_emitting(2**64 - 1).random() == _TOP
     numpys, words = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
     x = numpys.binomial(n, p)
     words.bit_generator.random_raw(2 if restarts else 1)
     assert numpys.bit_generator.state == words.bit_generator.state
-    if restarts:
-        assert binomial_inversion(n, p, _TOP) is None and _inversion_thresholds(n, p, _TOP) is None
+    chain = _inversion_thresholds(n, p, 53)  # 2**-53 = 1 - _TOP
+    if restarts:  # the chain ends at numpy's bound below _TOP: the next lattice point runs past it
+        assert binomial_inversion(n, p, _TOP) is None and chain[-1] < _TOP
+        assert binomial_inversion(n, p, chain[-1] + 2.0**-53) is None
     else:
-        assert x == binomial_inversion(n, p, _TOP) == len(_inversion_thresholds(n, p, _TOP)) == 10
+        assert x == binomial_inversion(n, p, _TOP) == bisect_left(chain, _TOP) == 10
     for draw, reference in ((_draw, lambda rng: rng.binomial(n, p, 5)),
                             (_odd_draws, lambda rng: np.count_nonzero(rng.binomial(n, p, 5) & 1))):
         ours, theirs = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
         np.testing.assert_array_equal(draw(ours, n, p, 5), reference(theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_the_memos_stay_bounded_past_their_size():
+    # a sweep of more distinct (n, p) than either memo holds
+    limit = max(_inversion_thresholds.cache_info().maxsize, _count_table.cache_info().maxsize)
+    for i in range(limit + 8):
+        _draw(np.random.default_rng(i), 4, (i + 1) / (2 * limit + 16), 10)
+    for memo in (_inversion_thresholds, _count_table):
+        assert memo.cache_info().currsize == memo.cache_info().maxsize
 
 
 @pytest.mark.parametrize("n, p", [(100, 0.35), (100, 0.65), (4096, 0.5), (64, 0.0)])

@@ -120,6 +120,13 @@ def test_reported_offset_lands_in_the_principal_period():
     assert result.model.offset == pytest.approx(0.3, abs=1e-8)
 
 
+def test_an_offset_just_below_zero_is_reported_as_zero_not_the_period():
+    # the fit lands a hair below 0, where p0 % period rounds up to the period itself
+    phi = np.linspace(0.0, math.pi / 2, 12, endpoint=False)
+    result = fit_fringe(np.column_stack([phi, 0.97 + 0.02 * (-1.0) ** np.arange(12)]), ell=1)
+    assert result.model.offset == 0.0
+
+
 def test_floor_fit_recovers_an_offset_fringe():
     truth = FringeModel(amplitude=0.6, decay=5.0, offset=0.2, ell=1, floor=0.2)
     result = fit_fringe(_noiseless_data(truth, 50), ell=1, fit_floor=True)
