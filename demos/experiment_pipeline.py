@@ -12,7 +12,8 @@ exponent of 0.0506.
 import math
 import os
 
-from sagnac_parity import ExperimentConfig, load_fringe_data, run_experiment
+from sagnac_parity import (ExperimentConfig, fit_fringe, load_fringe_data, min_sensitivity_from_fit,
+                           run_experiment)
 
 out_dir = "pipeline_artifacts"
 config = ExperimentConfig(points=40, trials_per_point=20_000, output_dir=out_dir)
@@ -48,11 +49,15 @@ for kind, path in doc["files"].items():
     print(f"  {kind:<12} {path}  ({os.path.getsize(path)} bytes)")
 
 # the scan CSV round-trips through the data loader, so a saved acquisition
-# can be refit later
+# can be refit later, here with the floor free
 data = load_fringe_data(doc["files"]["scan"])
 print()
 print(f"reloaded scan: {data.shape[0]} rows, "
       f"phi spans [{data[:, 0].min():.4f}, {data[:, 0].max():.4f}] rad")
+refit = fit_fringe(data, ell=config.ell, fit_floor=True)
+phi_star, best = min_sensitivity_from_fit(refit)
+print(f"refit with a free floor {refit.model.floor:.5f}: mean photons {refit.model.decay / 2:.4f}, "
+      f"best sensitivity {best:.5f} rad at phi = {phi_star:.4f}")
 
 # rerunning with the same config reproduces the files byte for byte;
 # a different seed gives a statistically fresh acquisition

@@ -173,18 +173,12 @@ def _stops(point, chain, px):
 
 @functools.lru_cache(maxsize=128)
 def _count_table(n, p, j):
-    # the counts of _inversion_thresholds(n, p, j) by slice of [0, 1): slice i, the u with
-    # floor(u * _SLICES) = i, holds the number of thresholds below it, or -1 where a threshold lies
-    # in it.  The thresholds are sorted, so the count is v on the run of slices from the one after
-    # threshold v - 1's to threshold v's.  Returns the table and the thresholds, read-only, for the
-    # uniforms in a split slice
+    # the counts of _inversion_thresholds(n, p, j) by slice of [0, 1): slice i, the u with floor(u * _SLICES) = i,
+    # holds the number of thresholds below its start i / _SLICES (exact), or -1 where a threshold lies in it.
+    # Returns the table and the thresholds, read-only, for the uniforms in a split slice
     chain = np.array(_inversion_thresholds(n, p, j))
-    f = (chain * _SLICES).astype(np.intp)
-    runs = np.append(f, _SLICES - 1)
-    runs[1:] -= f
-    runs[0] += 1
-    table = np.repeat(np.arange(f.size + 1), runs)
-    table[f] = -1
+    table = np.searchsorted(chain, np.arange(_SLICES) / _SLICES)
+    table[(chain * _SLICES).astype(np.intp)] = -1
     table.flags.writeable = chain.flags.writeable = False
     return table, chain
 

@@ -54,17 +54,18 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def _figures(result, spec):
-    # the document's figures of a fit: the derived block, the sensitivity minimum, the SNL and their ratio
+def _figures(model, spec):
+    # the document's figures of a fitted fringe: the derived block, the sensitivity minimum, the SNL and their ratio
     snl = 1.0 / (4.0 * spec.ell * math.sqrt(spec.mean_photons))
-    phi_star, best = metrics.min_sensitivity(result.model)
+    visibility, width, factor = metrics.fringe_figures(model)
+    phi_star, best = metrics.min_sensitivity(model)
     return {
         "derived": {
-            "n_bar": result.derived["n_bar"],
-            "r": result.derived["r"],
-            "visibility": result.derived["visibility"],
-            "fwhm_rad": result.derived["fwhm"],
-            "super_resolution_factor": result.derived["super_resolution_factor"],
+            "n_bar": model.decay / 2.0,
+            "r": abs(math.log(model.amplitude)) / 2.0,  # 0.0, not -0.0, at a = 1
+            "visibility": visibility,
+            "fwhm_rad": width,
+            "super_resolution_factor": factor,
         },
         "min_sensitivity": {"phi_rad": phi_star, "value_rad": best},
         "shot_noise_limit_rad": snl,
@@ -101,7 +102,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     fit_values = result.model(phis)
     bars = error_bars(phis, n, result.model)
 
-    figures = _figures(result, spec)
+    figures = _figures(result.model, spec)
     dense = start + np.linspace(0.0, period, 481)
     sens = metrics.sensitivity(result.model, dense)
     paths = {kind: os.path.join(config.output_dir, f"{config.prefix}_{kind}.{ext}")

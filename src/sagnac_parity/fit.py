@@ -22,10 +22,9 @@ clipped into the box and kept only if it lowers the cost.  It stops once a
 kept step lowers the cost by at most 1e-10 of itself, or once a step is at
 most 1e-14 of the parameters' norm (the stop of noiseless data).
 
-Derived quantities (visibility, width, super-resolution factor) and the
-fitted sensitivity are always recomputed from the fitted model through the
-same :mod:`sagnac_parity.metrics` routines that serve the closed forms;
-the ``*_from_fit`` pair only hands them ``result.model``.
+A fit returns its :class:`FringeModel`, the parameters' standard errors and
+the residual; the fringe's figures and sensitivity are the
+:mod:`sagnac_parity.metrics` routines of that model, as for a closed form.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .metrics import fringe_figures, min_sensitivity, sensitivity
+from .metrics import min_sensitivity, sensitivity
 from .model import FringeModel, _check_ell, _check_integer, _check_reals, _shape
 
 __all__ = [
@@ -53,24 +52,15 @@ __all__ = [
 
 
 class FitConvergenceError(RuntimeError):
-    """Raised when the optimizer hits the iteration cap before converging.
-
-    The best iterate reached so far is attached as ``best`` (may be None if
-    it cannot even be packaged as a valid model).
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Raised when the optimizer hits the iteration cap before converging."""
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted model plus goodness-of-fit and derived physical quantities."""
+    """Fitted model, its residual RMS and its parameters' standard errors."""
 
     model: FringeModel
     residual_rms: float
-    derived: dict
     param_stderr: dict
 
 
@@ -109,9 +99,7 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     least half a period of data; the reported offset is reduced to
     [0, pi/(2 ell)).  A fitted floor keeps the peak amplitude + floor at
     most 1: when the free fit lands above, the fit is redone with the peak
-    pinned at parity 1 (floor = 1 - amplitude).  Fringes too shallow to
-    reach their half level (decay < ln 2) fit normally but report nan for
-    the derived width and resolution factor, and a parameter the data do
+    pinned at parity 1 (floor = 1 - amplitude).  A parameter the data do
     not constrain (a zero Jacobian column, the offset's at decay 0) has
     stderr inf.  ValueError refuses rows with (|value| + 2)/sigma of
     sqrt(largest float / rows) or more, as "data overflow ...": the model
@@ -136,13 +124,7 @@ def fit_fringe(data, ell, fit_floor=False, max_iter=500):
     except FloatingPointError:  # an entry of the offset's column 2 ell b sin(4 ell delta) a core / sigma
         raise ValueError(f"ell of {ell:g} overflows the fit's Jacobian at these data's sigmas") from None
     if res.status == 0:
-        try:
-            best = _package(res, ell, floor)
-        except ValueError:
-            best = None
-        raise FitConvergenceError(
-            f"no convergence within {max_iter} evaluations", best=best
-        )
+        raise FitConvergenceError(f"no convergence within {max_iter} evaluations")
     return _package(res, ell, floor)
 
 
@@ -235,15 +217,6 @@ def _package(res, ell, floor):
     p0 = 0.0 if p0 == period else p0  # a tiny negative p0 rounds up to the period itself
     model = FringeModel(amplitude=float(a), decay=float(b), offset=p0, ell=ell, floor=c)
 
-    visibility, width, factor = fringe_figures(model)
-    derived = {
-        "n_bar": float(b) / 2.0,
-        "r": abs(math.log(float(a))) / 2.0,  # 0.0, not -0.0, at a = 1
-        "visibility": visibility,
-        "fwhm": width,
-        "super_resolution_factor": factor,
-    }
-
     scale = _column_scale(res.jac)
     Js = res.jac * scale
     A, d = _unit_diagonal(Js.T @ Js)
@@ -258,7 +231,6 @@ def _package(res, ell, floor):
     return FitResult(
         model=model,
         residual_rms=float(np.sqrt(np.mean(res.fun**2))),
-        derived=derived,
         param_stderr=stderr,
     )
 
@@ -270,13 +242,13 @@ def error_bars(phi, trials, model):
 
 
 def sensitivity_from_fit(result, phi):
-    """:func:`~sagnac_parity.metrics.sensitivity` of a FitResult's model (or of a FringeModel)."""
-    return sensitivity(result.model if isinstance(result, FitResult) else result, phi)
+    """:func:`~sagnac_parity.metrics.sensitivity` of a FitResult's model."""
+    return sensitivity(result.model, phi)
 
 
 def min_sensitivity_from_fit(result):
-    """:func:`~sagnac_parity.metrics.min_sensitivity` of a FitResult's model (or of a FringeModel)."""
-    return min_sensitivity(result.model if isinstance(result, FitResult) else result)
+    """:func:`~sagnac_parity.metrics.min_sensitivity` of a FitResult's model."""
+    return min_sensitivity(result.model)
 
 
 # --- reading fringe data back from CLI output -----------------------------
@@ -284,6 +256,12 @@ def min_sensitivity_from_fit(result):
 _PHI_COLUMNS = ("phi_rad", "phi_deg", "phi")
 _VALUE_COLUMNS = ("parity_mean", "expectation", "value")
 _SIGMA_COLUMNS = ("parity_stderr", "sigma", "error_bar")
+
+
+def _cell(x):
+    # text as its float, any other cell as given once float() takes it: the rule refuses JSON true and false
+    number = float(x)
+    return number if isinstance(x, str) else x
 
 
 def _rows_from_columns(columns, rows):
@@ -294,12 +272,12 @@ def _rows_from_columns(columns, rows):
     sig_col = next((c for c in _SIGMA_COLUMNS if c in columns), None)
     picks = [columns.index(c) for c in (phi_col, val_col, sig_col) if c is not None]
     try:
-        out = np.array([[float(row[i]) for i in picks] for row in rows], dtype=float)
+        cells = [[_cell(row[i]) for i in picks] for row in rows]
     except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed data row: {exc}") from None
-    if out.size == 0:
+    if not cells:
         raise ValueError("table has no data rows")
-    out = _check_reals("table cells", out)
+    out = _check_reals("table cells", cells)
     if phi_col == "phi_deg":
         out[:, 0] = np.radians(out[:, 0])
     return out
@@ -316,7 +294,7 @@ def load_fringe_data(source):
     value, and the optional sigma from parity_stderr, sigma or error_bar.
     Of the CLI's outputs only ``experiment``'s ``*_scan.csv`` has a value
     column; ``curve`` and ``metrics`` tables raise ValueError ("no
-    recognizable phi/value columns").  Short rows, non-numeric or
+    recognizable phi/value columns").  Short rows, non-numeric, bool or
     non-finite cells and tables without rows raise ValueError too.
     """
     if hasattr(source, "read"):

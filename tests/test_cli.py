@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import sagnac_parity
 from sagnac_parity import (
+    FringeModel,
     ImperfectionProfile,
     InterferometerSpec,
+    fringe_figures,
     load_fringe_data,
     min_sensitivity,
     parity_expectation,
@@ -473,7 +475,18 @@ def test_experiment_pipeline_writes_reproducible_artifacts(tmp_path, capsys):
     assert data.shape == (12, 3)
     saved = json.loads((tmp_path / "run_fit.json").read_text(encoding="utf-8"))
     assert saved["parameters"]["decay"] == doc["parameters"]["decay"]
-    assert saved["derived"]["n_bar"] == pytest.approx(doc["parameters"]["decay"] / 2.0)
+    # the document's figures are its own fringe's, to the last bit
+    params = saved["parameters"]
+    fringe = FringeModel(amplitude=params["amplitude"], decay=params["decay"], offset=params["offset_rad"],
+                         ell=saved["config"]["ell"], floor=params["floor"])
+    visibility, fwhm, factor = fringe_figures(fringe)
+    assert saved["derived"] == {
+        "n_bar": params["decay"] / 2.0,
+        "r": abs(math.log(params["amplitude"])) / 2.0,
+        "visibility": visibility,
+        "fwhm_rad": fwhm,
+        "super_resolution_factor": factor,
+    }
 
 
 @pytest.mark.parametrize("field, value, echoed", [("mean_photons", np.float32(2.297), float(np.float32(2.297))),

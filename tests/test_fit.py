@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from sagnac_parity import (
     InterferometerSpec,
     error_bars,
     fit_fringe,
+    fringe_figures,
     load_fringe_data,
     min_sensitivity_from_fit,
     run_experiment,
@@ -54,13 +56,16 @@ def test_reference_fringe_recovery_and_derived_quantities():
     assert result.model.amplitude == pytest.approx(0.9507, rel=1e-6)
     assert result.model.decay == pytest.approx(4.594, rel=1e-6)
     assert result.model.offset == pytest.approx(0.7022, rel=1e-6)
-    assert result.derived["n_bar"] == pytest.approx(2.297, rel=1e-6)
-    assert result.derived["r"] == pytest.approx(-math.log(0.9507) / 2.0, rel=1e-6)
-    assert abs(result.derived["r"] - 0.0253) < 1e-4
-    assert result.derived["visibility"] == pytest.approx(0.9799778147960428, rel=1e-6)
-    assert result.derived["fwhm"] == pytest.approx(0.39893153436729634, abs=1e-6)
-    assert result.derived["super_resolution_factor"] == pytest.approx(7.875017096786658, rel=1e-5)
+    visibility, fwhm, factor = fringe_figures(result.model)
+    r = abs(math.log(result.model.amplitude)) / 2
+    assert result.model.decay / 2 == pytest.approx(2.297, rel=1e-6)
+    assert r == pytest.approx(-math.log(0.9507) / 2.0, rel=1e-6)
+    assert abs(r - 0.0253) < 1e-4
+    assert visibility == pytest.approx(0.9799778147960428, rel=1e-6)
+    assert fwhm == pytest.approx(0.39893153436729634, abs=1e-6)
+    assert factor == pytest.approx(7.875017096786658, rel=1e-5)
     assert set(result.param_stderr) == {"amplitude", "decay", "offset"}
+    assert [f.name for f in dataclasses.fields(FitResult)] == ["model", "residual_rms", "param_stderr"]
 
 
 def test_round_trip_over_random_models():
@@ -85,9 +90,10 @@ def test_shallow_fringe_fits_but_has_no_width():
     truth = FringeModel(amplitude=0.9, decay=0.55, offset=0.4, ell=1)
     result = fit_fringe(_noiseless_data(truth, 40), ell=1)
     assert result.model.decay == pytest.approx(0.55, rel=1e-6)
-    assert math.isnan(result.derived["fwhm"])
-    assert math.isnan(result.derived["super_resolution_factor"])
-    assert result.derived["visibility"] > 0.0
+    visibility, fwhm, factor = fringe_figures(result.model)
+    assert math.isnan(fwhm)
+    assert math.isnan(factor)
+    assert visibility > 0.0
 
 
 def test_fringe_that_underflows_at_its_trough_fits():
@@ -97,7 +103,7 @@ def test_fringe_that_underflows_at_its_trough_fits():
     assert np.any(data[:, 1] == 0.0)
     result = fit_fringe(data, ell=1)
     assert result.model.decay == pytest.approx(800.0, rel=1e-6)
-    assert result.derived["visibility"] == 1.0
+    assert fringe_figures(result.model)[0] == 1.0
 
 
 def test_shifting_the_data_shifts_only_the_offset():
@@ -178,17 +184,17 @@ def test_fitted_sensitivity_matches_closed_form_for_ideal_shape():
     model = FringeModel(amplitude=1.0, decay=2 * 3.5, offset=0.0, ell=2)
     ideal = ImperfectionProfile()
     phis = np.linspace(0.05, 0.35, 7)
-    got = sensitivity_from_fit(model, phis)
+    got = sensitivity(model, phis)
     want = sensitivity(ideal.fringe(spec), phis)
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 def test_fitted_sensitivity_diverges_at_the_fringe_peak():
-    assert sensitivity_from_fit(REFERENCE, REFERENCE.offset) == math.inf
+    assert sensitivity(REFERENCE, REFERENCE.offset) == math.inf
     # every later peak too, though offset + k * period only rounds to one
     for k in (-1, 1, 2):
-        assert sensitivity_from_fit(REFERENCE, REFERENCE.offset + k * REFERENCE.period) == math.inf
-    vals = sensitivity_from_fit(REFERENCE, np.array([REFERENCE.offset, 0.3]))
+        assert sensitivity(REFERENCE, REFERENCE.offset + k * REFERENCE.period) == math.inf
+    vals = sensitivity(REFERENCE, np.array([REFERENCE.offset, 0.3]))
     assert math.isinf(vals[0]) and math.isfinite(vals[1])
 
 
@@ -256,10 +262,9 @@ def test_fits_match_the_scipy_trust_region_oracle(monkeypatch, tmp_path):
     assert ours.model.amplitude == 1.0
 
 
-def test_iteration_cap_raises_with_best_iterate_attached():
-    with pytest.raises(FitConvergenceError) as exc:
+def test_iteration_cap_raises_naming_the_budget():
+    with pytest.raises(FitConvergenceError, match=r"^no convergence within 1 evaluations$"):
         fit_fringe(_noiseless_data(REFERENCE, 60), ell=1, max_iter=1)
-    assert isinstance(exc.value.best, FitResult)
 
 
 def test_rejects_contrastless_data():
@@ -299,7 +304,9 @@ def test_a_second_row_at_the_peak_angle_starts_the_width_at_a_quarter_period():
     guess = fit._initial_guess(rows[:, 0], rows[:, 1], 1, math.pi / 2)
     assert guess == (1.0, math.log(2.0) / math.sin(math.pi / 4) ** 2, 0.0)
     result = fit_fringe(data, ell=1)
-    assert all(math.isfinite(v) for v in (result.residual_rms, *result.derived.values()))
+    model = result.model
+    figures = (model.decay / 2, abs(math.log(model.amplitude)) / 2, *fringe_figures(model))
+    assert all(math.isfinite(v) for v in (result.residual_rms, *figures))
 
 
 def test_rejects_non_finite_entries_and_bad_sigmas():
@@ -467,8 +474,11 @@ def test_load_rejects_empty_input():
         ("phi_rad,parity_mean\n0.1,0.5\n0.2,inf\n", "^table cells must be finite, got inf$"),
         # one field past csv's default limit of 131072 characters
         ("phi_rad,parity_mean\n0.1," + "5" * 131073 + "\n", "malformed CSV"),
+        # JSON true and false are not numbers, though float() reads them as 1.0 and 0.0
+        ('{"columns": ["phi_rad", "parity_mean"], "rows": [[0.0, true], [0.1, false], [true, 0.5]]}',
+         "^table cells must be real, got list$"),
     ],
-    ids=["inf-cell", "oversized-field"],
+    ids=["inf-cell", "oversized-field", "bool-cell"],
 )
 def test_load_rejects_malformed_tables(text, message):
     with pytest.raises(ValueError, match=message):
@@ -550,13 +560,13 @@ def test_fit_fringe_fails_only_the_documented_way(sample, ell, fit_floor, max_it
     unconstrained.setdefault("floor", unconstrained["amplitude"])  # a pinned floor is 1 - amplitude
     for name, stderr in result.param_stderr.items():
         assert stderr == math.inf if unconstrained[name] else math.isfinite(stderr), (name, stderr)
-    derived = result.derived
-    assert all(math.isfinite(derived[k]) for k in ("n_bar", "r", "visibility"))
+    visibility, fwhm, factor = fringe_figures(model)
+    assert all(math.isfinite(v) for v in (model.decay / 2, abs(math.log(model.amplitude)) / 2, visibility))
     # nan width and factor are documented for fringes that never reach their half level
     if model.decay >= math.log(2.0):
-        assert math.isfinite(derived["fwhm"]) and math.isfinite(derived["super_resolution_factor"])
+        assert math.isfinite(fwhm) and math.isfinite(factor)
     else:
-        assert math.isnan(derived["fwhm"]) and math.isnan(derived["super_resolution_factor"])
+        assert math.isnan(fwhm) and math.isnan(factor)
 
 
 _JUNK = st.one_of(

@@ -215,8 +215,9 @@ def test_fit(name, value):
         assert name == "max_iter"
     else:
         _assert_python_fields(result.model)
-        assert all(type(v) is float for v in (result.residual_rms, *result.derived.values(),
-                                              *result.param_stderr.values()))
+        model = result.model
+        figures = (model.decay / 2, abs(math.log(model.amplitude)) / 2, *fringe_figures(model))
+        assert all(type(v) is float for v in (result.residual_rms, *figures, *result.param_stderr.values()))
     assert repr(result) == repr(fit(**{name: _python(value)}))
 
 
@@ -408,9 +409,8 @@ def test_a_fit_at_charge_2_to_the_k_is_the_charge_1_fit_on_angles_divided_by_2_t
     assert fit_k.residual_rms == fit.residual_rms
     assert fit_k.param_stderr == {**fit.param_stderr, "offset": fit.param_stderr["offset"] / 2**k}
     # the width is an angle, and the factor is pi over it
-    derived = {**fit.derived, "fwhm": fit.derived["fwhm"] / 2**k,
-               "super_resolution_factor": fit.derived["super_resolution_factor"] * 2**k}
-    assert repr(fit_k.derived) == repr(derived)
+    visibility, fwhm, factor = fringe_figures(fit.model)
+    assert repr(fringe_figures(fit_k.model)) == repr((visibility, fwhm / 2**k, factor * 2**k))
 
 
 @settings(max_examples=50)
