@@ -22,27 +22,35 @@ compares), and its rows do not depend on the number of threads or the order
 points finish; each row is the parity mean and stderr that `simulate` gives
 for its seed.
 
-The counts are numpy's `Generator.binomial(M, p, T)` bit for bit, drawn
-more cheaply.  Where numpy draws by inversion (p > 0 and M min(p, 1 - p)
-<= 30, every point of the default experiment), it reads one uniform u per
-readout and walks it down a fixed chain, so each count is a step function
-of u: the number of thresholds t_k below u.  The uniforms come from
-`Generator.random(T)` on the same stream, and `_inversion_thresholds` finds
-numpy's exact t_k for (M, p) up to the first at or above 1 - 2^-j, where
-2^-j is the largest power of two at or below 1 - max u.  `simulate` reads
-each count from a table of 4096 slices of [0, 1) (`_count_table`), and
-counts the thresholds only for the few uniforms in a slice that a threshold
-splits; a scan point sums (-1)^k #(u > t_k) to its odd count without
-building the counts.  numpy's own draw is taken, from the same state, at
-p = 0, in its BTPE regime, and wherever a uniform would run past numpy's
-bound, where numpy draws that readout again.  The tests hold the thresholds
-to the installed numpy's own draw, so a numpy release that changes its
-Binomial algorithm fails them instead of drifting from it.
+The counts are the package's own inverse of the Binomial(M, p) CDF, read
+from one `Generator.random(T)` uniform u per readout.  Where numpy draws by
+inversion (p > 0 and M min(p, 1 - p) <= 30, every point of the default
+experiment), `_inversion_thresholds` sums the Binomial pmf in float, its
+terms computed as numpy's inversion computes them, to the thresholds
+t_0 <= t_1 <= ..., and each count is the number of thresholds below u (M
+minus it above p = 1/2, as numpy mirrors).  The chain stops at the first
+t_k at or above 1 - 2^-j, where 2^-j is the largest power of two at or
+below 1 - max u, or at numpy's cap on a count, int(Mp + 10 sqrt(Mp(1 - p)
++ 1)), which a count never passes.  `simulate` reads each count from a
+table of 4096 slices of [0, 1) (`_count_table`), and counts the thresholds
+only for the few uniforms in a slice that a threshold splits; a scan point
+sums (-1)^k #(u > t_k) to its odd count without building the counts.
+numpy's own draw is taken, from the same stream, at p = 0 and in its BTPE
+regime.
+
+So the counts are numpy's `Generator.binomial(M, p, T)` stream but in two
+places.  numpy walks u down a chain of subtractions u - px_0 - px_1 - ...,
+which rounds differently from the float sum: its thresholds lie within a
+few 2^-53 of these (at most 3 * 2^-53 at the default experiment's points,
+5 * 2^-53 on a bright 64-unit array), and a uniform between the two counts
+differently.  And past the cap numpy draws that readout again, where this
+draw counts the cap.  The tests hold random draws to numpy's own, and the
+thresholds to the exact Binomial CDF.
 
 The thresholds and the table depend on (M, p, j) alone, so both are
 memoized: a sweep that repeats its angles computes them once per angle and
-tail level j.  The memos are bounded, at 1024 chains of at most 86
-thresholds (about 2.9 kB each, 3.0 MB in all) and 128 tables (about 34 kB
+tail level j.  The memos are bounded, at 1024 chains of at most 85
+thresholds (about 2.8 kB each, 2.8 MB in all) and 128 tables (about 34 kB
 each, 4.3 MB in all).
 """
 from __future__ import annotations
@@ -59,8 +67,8 @@ from .model import ImperfectionProfile, _check_integer, _check_reals, _shape
 
 __all__ = ["DetectorModel", "DetectorRun", "simulate", "scan"]
 
-# Generator.random returns a lattice point m / 2**53, m < 2**53, as does the uniform numpy's Binomial draw reads
-_LATTICE = 2**53
+# the largest uniform Generator.random returns, (2**53 - 1) / 2**53
+_TOP = 1.0 - 2.0**-53
 # _draw reads a count by the slice of [0, 1) its uniform lies in; u * 2**12 is exact
 _SLICES = 4096
 
@@ -131,44 +139,26 @@ def _generator(seed):
 
 @functools.lru_cache(maxsize=1024)
 def _inversion_thresholds(n, p, j):
-    # numpy draws Binomial(n, p <= 1/2) with n p <= 30 by inversion (random_binomial_inversion in its
-    # distributions.c, transcribed here operation for operation): from one uniform u it stops at the
-    # first X with U_X <= px_X, where U_X = u - px_0 - ... - px_{X-1} is rounded step by step.
-    # Rounding is monotone in u, so each {u : U_k <= px_k} is all u up to a lattice point a_k, and
-    # X > k exactly where u > t_k = max(a_0, ..., a_k).  Returns the t_k up to the first at or above
-    # 1 - 2**-j, which no uniform of a draw keyed by j passes, or else up to numpy's bound, past which
-    # numpy draws that readout again
+    # the Binomial(n, p <= 1/2) CDF as numpy's inversion draw (random_binomial_inversion in its distributions.c)
+    # computes its terms: px_0 = exp(n log1p(-p)), then px_k = (n - k + 1) p px_{k-1} / (k q), summed in float.
+    # Returns the sums t_0, ..., t_{bound-1} up to the first at or above 1 - 2**-j, which no uniform of a draw
+    # keyed by j passes, or else all bound of them: a count never exceeds numpy's cap, and a uniform past the
+    # last sum counts bound.  A sum at or above 1 is held at _TOP, which no uniform passes
     q = 1.0 - p
     px = math.exp(n * math.log1p(-p))
     mean = n * p
     cap = mean + 10.0 * math.sqrt(mean * q + 1)
     bound = n if n < cap else int(cap)
-    stop = _LATTICE - (_LATTICE >> j)
-    chain, thresholds, t, total = [], [], 0, 0.0
-    for k in range(bound + 1):
+    stop = 1.0 - 2.0**-j
+    thresholds, total = [], 0.0
+    for k in range(bound):
         if k:
             px = (n - k + 1) * p * px / (k * q)
         total += px
-        # a_k lies within a few lattice points of the float cumulative sum of px
-        a = min(int(total * _LATTICE), _LATTICE - 1)
-        while not _stops(a, chain, px):
-            a -= 1
-        while a < _LATTICE - 1 and _stops(a + 1, chain, px):
-            a += 1
-        t = max(t, a)
-        thresholds.append(t / _LATTICE)
-        if t >= stop:
+        thresholds.append(min(total, _TOP))
+        if total >= stop:
             break
-        chain.append(px)
     return tuple(thresholds)
-
-
-def _stops(point, chain, px):
-    # whether numpy's loop on the uniform point / 2**53, after subtracting chain, stops at px
-    u = point / _LATTICE
-    for x in chain:
-        u -= x
-    return u <= px
 
 
 @functools.lru_cache(maxsize=128)
@@ -184,33 +174,26 @@ def _count_table(n, p, j):
 
 
 def _inversion(rng, n, p, size):
-    # rng.binomial(n, p, size) as (u, t, key, mirrored): the draw is X = #(t < u), or n - X where
+    # size Binomial(n, p) draws as (u, t, key, mirrored): the draw is X = #(t < u), or n - X where
     # mirrored, over the thresholds t of _inversion_thresholds(*key) below the largest u, with
-    # u = rng.random(size) from the same stream and the generator left as numpy leaves it.  None,
-    # with the stream untouched, where numpy draws nothing (p = 0), draws by BTPE, or draws a
-    # readout again
+    # u = rng.random(size).  None, with the stream untouched, where numpy draws nothing (p = 0) or
+    # draws by BTPE
     mirrored = p > 0.5
     low = 1.0 - p if mirrored else p  # above 1/2 numpy draws n - Binomial(n, 1 - p)
     if p == 0.0 or not low * n <= 30.0:
         return None
-    state = rng.bit_generator.state
     u = rng.random(size)
     top = float(u.max())
-    # 2**-j, the largest power of two at or below 1 - top (exact, as top is a lattice point), keys
+    # 2**-j, the largest power of two at or below 1 - top (exact, as top is a multiple of 2**-53), keys
     # the tail of the chain, so one chain serves every draw whose largest uniform falls in that tail
     key = (n, low, 1 - math.frexp(1.0 - top)[1])
     chain = _inversion_thresholds(*key)
-    k = bisect.bisect_left(chain, top)
-    if k == len(chain):  # top lies past numpy's bound
-        rng.bit_generator.state = state
-        return None
-    return u, chain[:k], key, mirrored
+    return u, chain[:bisect.bisect_left(chain, top)], key, mirrored
 
 
 def _draw(rng, n, p, size):
-    # rng.binomial(n, p, size) bit for bit, leaving rng in the same state: where numpy draws by
-    # inversion, each count is read from its uniform's slice, or counted by its thresholds in a split
-    # slice; numpy's own draw elsewhere
+    # size Binomial(n, p) counts from rng: where numpy draws by inversion, each count is read from its
+    # uniform's slice, or counted by its thresholds in a split slice; numpy's own draw elsewhere
     law = _inversion(rng, n, p, size)
     if law is None:
         return rng.binomial(n, p, size)

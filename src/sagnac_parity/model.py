@@ -90,12 +90,14 @@ def _check_reals(name, value):
     # _check_real for arrays: ints and floats of any width, alone or nested, returned as np.asarray(value, dtype=float).
     # Each entry's type, or the dtype, is read before numpy casts: a bool, str, complex or ragged nest is not real
     array = np.asarray(value, dtype=object if isinstance(value, (list, tuple)) else None)
-    if array.dtype.kind == "O":  # a list, ints past 64 bits or other objects: each entry must be a real number
-        real = all(isinstance(x, _REALS) and not isinstance(x, bool) for x in array.flat)
+    if array.dtype.kind == "O":  # a list, ints past 64 bits or other objects: named by the first entry not real
+        refused = next((type(x) for x in array.flat if not isinstance(x, _REALS) or isinstance(x, bool)), None)
+    elif array.dtype.kind not in "iuf":  # an ndarray is named by its scalar type, any other value by its own
+        refused = array.dtype.type if isinstance(value, np.ndarray) else type(value)
     else:
-        real = array.dtype.kind in "iuf"
-    if not real:
-        raise ValueError(f"{name} must be real, got {type(value).__name__}")
+        refused = None
+    if refused is not None:
+        raise ValueError(f"{name} must be real, got {refused.__name__}")
     try:
         with np.errstate(over="ignore"):  # a longdouble past the float range casts to inf, refused below
             numbers = np.asarray(array, dtype=float)

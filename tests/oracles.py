@@ -1,5 +1,4 @@
 """Reference measurements that the tests hold the package's closed forms to."""
-import math
 
 import numpy as np
 
@@ -91,44 +90,3 @@ def phase_averaged_qfi_sum(ell, mean_photons, n_max):
     ns = np.arange(n_max + 1)
     return 4.0 * ell * ell * float(np.dot(poisson.pmf(ns, mean_photons), ns))
 
-
-def binomial_inversion(n, p, u):
-    """numpy's Binomial(n, p) draw by inversion on the one uniform ``u``, for p <= 1/2.
-
-    A scalar transcription of ``random_binomial_inversion`` in numpy's
-    ``distributions.c``, operation for operation.  Returns None where the
-    draw runs past numpy's bound, where numpy draws that readout again from
-    the next uniform.
-    """
-    q = 1.0 - p
-    qn = math.exp(n * math.log1p(-p))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    x, px = 0, qn
-    while u > px:
-        x += 1
-        if x > bound:
-            return None
-        u -= px
-        px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def pcg64_emitting(word):
-    """A numpy Generator on a PCG64 whose next 64-bit output is ``word``.
-
-    PCG64 steps its 128-bit state s to s * multiplier + increment, then
-    outputs the high and low halves XORed and rotated by the top 6 bits.  A
-    stepped state with a zero high half outputs its low half unrotated, so
-    the state before it is (word - increment) / multiplier mod 2**128.  Its
-    ``random()`` returns (word >> 11) / 2**53 first.
-    """
-    bit_generator = np.random.PCG64()
-    state = bit_generator.state
-    before = (word - 1) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
-    state["state"] = {"state": before, "inc": 1}
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import binomial_inversion, credibility, pcg64_emitting
+from oracles import credibility
 from sagnac_parity import DetectorModel, InterferometerSpec, scan, simulate
 from sagnac_parity.detector import (
-    _SLICES, _click_probability, _count_table, _draw, _inversion, _inversion_thresholds, _odd_draws, _parity_estimate,
-    _point_seed,
+    _SLICES, _TOP, _click_probability, _count_table, _draw, _inversion, _inversion_thresholds, _odd_draws,
+    _parity_estimate, _point_seed,
 )
+from sagnac_parity.experiment import ExperimentConfig
 
 
 def _stderr_bound(expectation, trials):
@@ -247,9 +248,6 @@ def test_scan_rows_are_the_serial_simulate_loop_at_any_pool_size(cpus, grid, uni
     assert rows == [(phi, run.parity_mean, run.parity_stderr) for phi, run in zip(grid, runs)]
 
 
-_TOP = 1.0 - 2.0**-53  # the largest uniform Generator.random returns
-
-
 def _draw_cases():
     # units from one to far past numpy's float-exact range, where 1 - p rounds to 1; p at 0 and
     # tiny, at numpy's inversion limit 30/n from either end, on either side of 1/2 and at 1;
@@ -278,70 +276,79 @@ def test_draws_are_numpys_binomial_stream_bit_for_bit():
 _SEVEN = [(1, 0.3), (3, 0.5), (16, 0.25), (64, 0.46), (4096, 30 / 4096), (10**6, 2.3e-6), (2**62, 2.0**-60)]
 
 
-@pytest.mark.parametrize("n, p", _SEVEN)
-def test_thresholds_are_where_numpys_inversion_loop_stops(n, p):
-    # t_k stops by step k and the next lattice point does not, in the scalar transcription of
-    # numpy's loop and in numpy's own draw fed that uniform.  The largest uniforms may run past
-    # numpy's bound; those below 1 - 2**-40 do not here: the chain reaches that tail first
-    top = 1.0 - 2.0**-40
-    chain = _inversion_thresholds(n, p, 40)
-    assert chain[-1] >= top
-    thresholds = chain[:bisect_left(chain, top)]
-    assert binomial_inversion(n, p, top) == len(thresholds)
-    for k, t_k in enumerate(thresholds):
-        for u in (t_k, t_k + 2.0**-53):
-            x = binomial_inversion(n, p, u)
-            assert (x <= k) if u == t_k else (x is None or x > k), (k, u)
-            if x is not None:
-                assert pcg64_emitting(round(u * 2**53) << 11).binomial(n, p) == x, (k, u)
+def _law_keys():
+    # (n, p <= 1/2): the default experiment's 60 points, a bright saturating 64-unit array's 8 angles (the
+    # benchmark's detector-bright) and 60 seeded keys of numpy's inversion regime, n below 300 and above
+    config = ExperimentConfig()
+    spec = InterferometerSpec(ell=config.ell, mean_photons=config.mean_photons)
+    model = DetectorModel(units=config.units, dark_rate=config.dark_rate)
+    period = spec.fringe_period
+    grid = config.offset - period / 2.0 + np.linspace(0.0, period, config.points, endpoint=False)
+    probabilities = [(config.units, _click_probability(spec, phi, model)) for phi in grid.tolist()]
+    spec, model = InterferometerSpec(ell=2, mean_photons=20.0), DetectorModel(units=64, kappa=0.9, dark_rate=0.05)
+    probabilities += [(64, _click_probability(spec, k * math.pi / 32, model)) for k in range(8)]
+    rng = np.random.default_rng(3600)
+    for n in [*rng.integers(1, 300, 30).tolist(), *rng.integers(300, 10**6, 30).tolist()]:
+        probabilities.append((n, float(rng.uniform(0.0, min(0.5, 30.0 / n)))))
+    return [(n, 1.0 - p if p > 0.5 else p) for n, p in probabilities]
+
+
+def test_thresholds_are_the_binomial_cdf_within_64_ulps():
+    # t_k sums numpy's pmf recurrence in float, so it carries the rounding of every term before it, and first
+    # of px_0 = exp(n log1p(-p)), whose relative error is about |n log1p(-p)| (up to 37 here) ulps of 1.
+    # Measured: at most 5 ulps at the default experiment's keys, 15 at the bright array's, 51 at the random ones
+    for n, p in _law_keys():
+        chain = _inversion_thresholds(n, p, 53)
+        with mpmath.workdps(60):
+            exact, cdf = mpmath.mpf(p), mpmath.mpf(0)
+            for k, t_k in enumerate(chain):
+                cdf += mpmath.binomial(n, k) * exact**k * (1 - exact) ** (n - k)
+                assert abs(mpmath.mpf(t_k) - cdf) <= 64 * math.ulp(t_k), (n, p, k)
+
+
+def test_generator_random_is_the_top_53_bits_of_each_pcg64_word():
+    # so the uniforms the counts are read from depend on PCG64's bit stream alone
+    for seed in (0, 27, 2**64 - 1):
+        rng, words = np.random.default_rng(seed), np.random.default_rng(seed).bit_generator
+        u = rng.random(1000)
+        assert u.tobytes() == ((words.random_raw(1000) >> np.uint64(11)) * 2.0**-53).tobytes()
+        assert rng.bit_generator.state == words.state
+
+
+def _drawing(u):
+    # a stand-in generator whose next uniforms are u
+    return mock.Mock(random=lambda size: np.array(u[:size], dtype=float))
+
+
+def test_a_chain_whose_sum_reaches_one_is_held_below_the_last_slice():
+    # the float sum reaches 1.0 exactly; held at _TOP, which no uniform passes, it splits the last slice
+    # instead of indexing one past it
+    table, chain = _count_table(257, 0.10154433988671784, 53)
+    assert chain[-1] == _TOP and table[-1] == -1
+    assert _draw(_drawing([_TOP, 0.0]), 257, 0.10154433988671784, 2).tolist() == [len(chain) - 1, 0]
+
+
+def test_a_count_stops_at_numpys_cap():
+    # the sum never reaches 1 - 2**-53, so the chain holds all int(np + 10 sqrt(np q + 1)) = 82 thresholds, and
+    # a uniform past the last counts 82, where numpy draws that readout again
+    n, p = 288, 0.10284133784770058
+    chain = _inversion_thresholds(n, p, 53)
+    assert len(chain) == 82 and chain[-1] < _TOP
+    u = [_TOP, math.nextafter(chain[-1], 1.0), math.nextafter(chain[0], 1.0), 0.0]
+    assert _draw(_drawing(u), n, p, 4).tolist() == [82, 82, 1, 0]
+    assert _odd_draws(_drawing(u), n, p, 4) == 1
 
 
 @pytest.mark.parametrize("n, p", _SEVEN)
 def test_each_unsplit_slice_holds_numpys_count_at_both_ends(n, p):
-    # the slices that hold a threshold are marked split; every other one reads numpy's count at its
-    # first and its last lattice point
+    # the slices that hold a threshold are marked split; every other one reads the count of its first and
+    # its last lattice point, the number of thresholds below each
     table, chain = _count_table(n, p, 40)
     assert np.array_equal(table == -1, np.isin(np.arange(_SLICES), (chain * _SLICES).astype(int)))
+    thresholds = _inversion_thresholds(n, p, 40)
     for i in np.flatnonzero(table >= 0).tolist():
         ends = (i / _SLICES, (i + 1) / _SLICES - 2.0**-53)
-        assert [binomial_inversion(n, p, u) for u in ends] == [table[i]] * 2, i
-
-
-@pytest.mark.parametrize("n, p", _SEVEN)
-def test_uniforms_in_a_split_slice_are_counted_as_numpy_draws_them(n, p):
-    # a uniform at a threshold, where the count steps, lies in the slice the threshold splits, and so,
-    # but at a slice's edge, does the lattice point above it; random uniforms almost never land on
-    # either.  Each is the first of a three-readout draw
-    chain = _inversion_thresholds(n, p, 40)
-    for t_k in chain[:bisect_left(chain, 1.0 - 2.0**-40)]:
-        assert _count_table(n, p, 40)[0][int(t_k * _SLICES)] == -1
-        for u in (t_k, t_k + 2.0**-53):
-            ours, numpys = pcg64_emitting(round(u * 2**53) << 11), pcg64_emitting(round(u * 2**53) << 11)
-            np.testing.assert_array_equal(_draw(ours, n, p, 3), numpys.binomial(n, p, 3))
-            assert ours.bit_generator.state == numpys.bit_generator.state, (t_k, u)
-
-
-@pytest.mark.parametrize("n, p, restarts", [(2, 0.363, True), (16, 0.0325, True), (16, 0.0105, False)])
-def test_the_largest_uniform_at_numpys_bound(n, p, restarts):
-    # numpy's bound is n at n = 2 and its cap at n = 16, 12 and then 10.  In the first two cases the
-    # px up to the bound sum to less than the largest uniform, whose loop runs past the bound, so
-    # numpy draws that readout again from the next 64-bit word; in the third it stops at the cap
-    assert pcg64_emitting(2**64 - 1).random() == _TOP
-    numpys, words = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
-    x = numpys.binomial(n, p)
-    words.bit_generator.random_raw(2 if restarts else 1)
-    assert numpys.bit_generator.state == words.bit_generator.state
-    chain = _inversion_thresholds(n, p, 53)  # 2**-53 = 1 - _TOP
-    if restarts:  # the chain ends at numpy's bound below _TOP: the next lattice point runs past it
-        assert binomial_inversion(n, p, _TOP) is None and chain[-1] < _TOP
-        assert binomial_inversion(n, p, chain[-1] + 2.0**-53) is None
-    else:
-        assert x == binomial_inversion(n, p, _TOP) == bisect_left(chain, _TOP) == 10
-    for draw, reference in ((_draw, lambda rng: rng.binomial(n, p, 5)),
-                            (_odd_draws, lambda rng: np.count_nonzero(rng.binomial(n, p, 5) & 1))):
-        ours, theirs = pcg64_emitting(2**64 - 1), pcg64_emitting(2**64 - 1)
-        np.testing.assert_array_equal(draw(ours, n, p, 5), reference(theirs))
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert [bisect_left(thresholds, u) for u in ends] == [table[i]] * 2, i
 
 
 def test_the_memos_stay_bounded_past_their_size():

@@ -321,6 +321,13 @@ def test_rejects_non_finite_entries_and_bad_sigmas():
         fit_fringe(with_sig, ell=1)
 
 
+
+def test_rejects_a_bool_entry_by_its_type_not_its_container():
+    rows = _noiseless_data(REFERENCE, 20).tolist()
+    rows[0][1] = True
+    with pytest.raises(ValueError, match="^data must be real, got bool$"):
+        fit_fringe(rows, ell=1)
+
 def test_rejects_data_that_overflow_the_fit():
     # a value of 1.3e154 squares past the float range in the solver's cost,
     # which then ran on through inf and nan to a fit with inf residual_rms
@@ -476,7 +483,7 @@ def test_load_rejects_empty_input():
         ("phi_rad,parity_mean\n0.1," + "5" * 131073 + "\n", "malformed CSV"),
         # JSON true and false are not numbers, though float() reads them as 1.0 and 0.0
         ('{"columns": ["phi_rad", "parity_mean"], "rows": [[0.0, true], [0.1, false], [true, 0.5]]}',
-         "^table cells must be real, got list$"),
+         "^table cells must be real, got bool$"),
     ],
     ids=["inf-cell", "oversized-field", "bool-cell"],
 )

@@ -288,6 +288,6 @@ def test_one_angle_rule_refuses_angles_from_2_to_the_48_over_ell(ell):
 
 def test_the_angle_rule_refuses_an_angle_that_is_not_real():
     model = ImperfectionProfile(dark_rate=0.01).fringe(InterferometerSpec(ell=1, mean_photons=2.0))
-    for phi, kind in ((1j, "complex"), (object(), "object"), ([0.1, 1j], "list")):
+    for phi, kind in ((1j, "complex"), (object(), "object"), ([0.1, 1j], "complex")):
         with pytest.raises(ValueError, match=f"^phi must be real, got {kind}$"):
             sensitivity(model, phi)

@@ -268,8 +268,9 @@ def _numpy_scalars(array):
 
 @st.composite
 def _array_values(draw, base):
-    # (value, verdict): base in one width of number, in a list, a tuple or an ndarray, perhaps with one bad entry;
-    # the verdict is what the array rule must make of it, "real", "not real" or "not finite"
+    # (value, verdict, refused): base in one width of number, in a list, a tuple or an ndarray, perhaps with one bad
+    # entry; the verdict is what the array rule must make of it, "real", "not real" or "not finite", and refused the
+    # type a "not real" refusal names: the bad entry's, or a whole array's scalar type
     width = draw(st.sampled_from((*_FLOAT_WIDTHS, int, *_NUMPY_INTS)))
     numbers = np.asarray(base, dtype=float)
     array = (numbers if width in _FLOAT_WIDTHS else np.rint(numbers)).astype(width)
@@ -277,11 +278,12 @@ def _array_values(draw, base):
     container = draw(st.sampled_from([list, tuple, np.ndarray]))
     verdict = draw(st.sampled_from(["real", "not finite", "not real", "ragged"]))
     if verdict == "real":
-        return (array if container is np.ndarray else container(leaves)), verdict
+        return (array if container is np.ndarray else container(leaves)), verdict, None
     if verdict == "not real" and container is np.ndarray and draw(st.booleans()):
         # a whole array of a dtype that is not real, complex with no imaginary part included
-        kind = draw(st.sampled_from([bool, str, np.complex64, np.complex128]))
-        return (array + 1j if kind is np.complex64 else array).astype(kind), verdict
+        kind, refused = draw(st.sampled_from([(bool, "bool"), (str, "str_"), (np.complex64, "complex64"),
+                                              (np.complex128, "complex128")]))
+        return (array + 1j if kind is np.complex64 else array).astype(kind), verdict, refused
     index = draw(st.integers(0, array.size - 1))
     flat = list(np.asarray(leaves, dtype=object).flat)
     entries = {"not finite": _NOT_FINITE, "not real": _NOT_REAL, "ragged": [[flat[index], [flat[index]]]]}[verdict]
@@ -289,12 +291,14 @@ def _array_values(draw, base):
     if verdict == "not finite" and container is np.ndarray and width in _FLOAT_WIDTHS and type(flat[index]) is float:
         array = array.copy()
         array.flat[index] = flat[index]  # a float array holding nan or an infinity
-        return array, verdict
+        return array, verdict, None
     nested = np.empty(array.size, dtype=object)  # filled entry by entry, so that a ragged entry stays one entry
     nested[:] = flat
     nested = nested.reshape(array.shape).tolist()
     value = np.array(nested, dtype=object) if container is np.ndarray else container(nested)
-    return value, "not real" if verdict == "ragged" else verdict
+    if verdict == "not finite":
+        return value, verdict, None
+    return value, "not real", "list" if verdict == "ragged" else type(flat[index]).__name__
 
 
 def _exact(result):
@@ -325,14 +329,14 @@ def _array_outcome(call, value):
 @given(data=st.data())
 def test_array_input(key, data):
     name, call, base = _ARRAY_INPUTS[key]
-    value, verdict = data.draw(_array_values(base))
+    value, verdict, refused = data.draw(_array_values(base))
     outcome = _array_outcome(call, value)
     if verdict == "real":
         assert outcome == _array_outcome(call, np.asarray(value, dtype=float))
         if str(outcome).startswith("ValueError: "):  # a refusal of the values themselves
             assert outcome.startswith(f"ValueError: {name} "), outcome
     elif verdict == "not real":
-        assert outcome == f"ValueError: {name} must be real, got {type(value).__name__}"
+        assert outcome == f"ValueError: {name} must be real, got {refused}"
     else:
         assert outcome.startswith(f"ValueError: {name} must be finite, got "), outcome
 
@@ -342,8 +346,8 @@ def test_a_complex_array_input_is_refused_by_name_not_cut_to_its_real_part(key):
     name, call, base = _ARRAY_INPUTS[key]
     listed = np.asarray(base, dtype=object)
     listed.flat[-1] = 1j
-    for value in (listed.tolist(), np.asarray(base) + 1j):
-        assert _array_outcome(call, value) == f"ValueError: {name} must be real, got {type(value).__name__}"
+    for value, refused in ((listed.tolist(), "complex"), (np.asarray(base) + 1j, "complex128")):
+        assert _array_outcome(call, value) == f"ValueError: {name} must be real, got {refused}"
 
 
 # --- the closed forms' symmetries, bit for bit -----------------------------------
@@ -470,6 +474,6 @@ def test_an_angle_array_that_is_complex_or_bool_is_refused_as_not_real():
     model = FringeModel(0.9, 4.0, 0.0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for phi in (np.array([0.2 + 1j]), np.array([True, False])):
-            with pytest.raises(ValueError, match="^phi must be real, got ndarray$"):
+        for phi, refused in ((np.array([0.2 + 1j]), "complex128"), (np.array([True, False]), "bool")):
+            with pytest.raises(ValueError, match=f"^phi must be real, got {refused}$"):
                 sensitivity(model, phi)

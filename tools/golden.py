@@ -224,6 +224,10 @@ def _experiment_calls():
         _call("experiment-no-light", "experiment", "--n", "1e-300", "--points", "12", "--trials", "100", "--units",
               "64"),
         _call("experiment-seed-env", "experiment", *_SMALL_RUN, env={"SAGNAC_PARITY_SEED": "11"}),
+        # one unit: p runs past 1/2, so the scan's odd counts take the mirrored inversion at odd M
+        _call("experiment-units-1", "experiment", "--units", "1", "--points", "12", "--trials", "20000"),
+        # 200 photons: most points draw by numpy's BTPE, outside its inversion regime
+        _call("experiment-btpe", "experiment", "--n", "200", "--points", "12", "--trials", "2000"),
         _call("experiment-config", "experiment", "--config", "cfg.json",
               files={"cfg.json": json.dumps({"points": 16, "trials": 2000, "units": 256, "dark_rate": 0.1,
                                              "kappa": 0.9, "seed": 7, "output_dir": "run"})}),
